@@ -201,11 +201,7 @@ _BUILDERS = {
 def aut_template(cid: CatalogId) -> AutTemplate:
     if cid.key not in _BUILDERS:
         raise BadId(f"no automorphism template for {cid.label()}")
-    return AutTemplate(instance_for(cid.field, *cid.key), _BUILDERS[cid.key])
-
-
-def instance_for(field: FieldCtx, dim: int, idx: int) -> LieAlgebra:
-    return raw_table(field, dim, idx)
+    return template_for(cid.field, *cid.key)
 
 
 def template_for(field: FieldCtx, dim: int, idx: int) -> AutTemplate:

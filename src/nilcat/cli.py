@@ -24,6 +24,8 @@ from .liealg import LieAlgebra
 
 
 def parse_algebra_text(text: str) -> LieAlgebra:
+    """Read the text format; every malformed or repeated line is a
+    NilcatError that names its line."""
     field = None
     dim = None
     brackets = {}
@@ -31,31 +33,51 @@ def parse_algebra_text(text: str) -> LieAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("field"):
-            field = parse_field(line[5:].strip())
-        elif line.startswith("dim"):
-            dim = int(line[3:].strip())
-        elif line.startswith("["):
-            if field is None or dim is None:
-                raise NilcatError(f"line {lineno}: bracket before field/dim header")
-            head, _, rest = line.partition("]")
-            i_s, j_s = head[1:].split(",")
-            i, j = int(i_s), int(j_s)
-            if not 1 <= i < j <= dim:
-                raise NilcatError(f"line {lineno}: bad bracket indices [{i},{j}]")
-            comps = {}
-            for term in rest.replace("=", " ").split():
-                k_s, _, c_s = term.partition(":")
-                k = int(k_s)
-                if not 1 <= k <= dim:
-                    raise NilcatError(f"line {lineno}: bad component index {k}")
-                comps[k] = field.el(c_s)
-            brackets[(i, j)] = comps
-        else:
-            raise NilcatError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            if line.startswith("field"):
+                if field is not None:
+                    raise NilcatError("repeated field header")
+                field = parse_field(line[5:].strip())
+            elif line.startswith("dim"):
+                if dim is not None:
+                    raise NilcatError("repeated dim header")
+                dim = int(line[3:].strip())
+            elif line.startswith("["):
+                if field is None or dim is None:
+                    raise NilcatError("bracket before field/dim header")
+                (i, j), comps = _parse_bracket(line, field, dim)
+                if (i, j) in brackets:
+                    raise NilcatError(f"repeated bracket [{i},{j}]")
+                brackets[(i, j)] = comps
+            else:
+                raise NilcatError("cannot parse")
+        except (NilcatError, ValueError, ZeroDivisionError) as exc:
+            reason = str(exc) if isinstance(exc, NilcatError) else "cannot parse"
+            raise NilcatError(f"line {lineno}: {reason}: {raw.strip()!r}") from None
     if field is None or dim is None:
         raise NilcatError("missing field or dim header")
     return LieAlgebra.from_table(field, dim, brackets)
+
+
+def _parse_bracket(line: str, field, dim: int):
+    """((i, j), {k: coeff}) from a line "[i,j] k:c ..."."""
+    head, close, rest = line.partition("]")
+    if not close:
+        raise NilcatError("missing ']'")
+    i_s, j_s = head[1:].split(",")
+    i, j = int(i_s), int(j_s)
+    if not 1 <= i < j <= dim:
+        raise NilcatError(f"bad bracket indices [{i},{j}]")
+    comps = {}
+    for term in rest.replace("=", " ").split():
+        k_s, _, c_s = term.partition(":")
+        k = int(k_s)
+        if not 1 <= k <= dim:
+            raise NilcatError(f"bad component index {k}")
+        if k in comps:
+            raise NilcatError(f"repeated component {k}")
+        comps[k] = field.el(c_s)
+    return (i, j), comps
 
 
 def load_algebra(path: str) -> LieAlgebra:

@@ -21,11 +21,16 @@ from .errors import (
     ZeroArgument,
 )
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+# psi_13: the least strong pseudoprime to every base in _SMALL_PRIMES, so
+# is_prime is a proof of primality below it (Sorenson and Webster, 2017).
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Miller-Rabin with the prime bases 2..41: deterministic for all
+    n < PRIME_BOUND (about 3.3e24), a strong probable-prime test above."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -122,6 +127,8 @@ class FieldCtx:
         if p is not None:
             if p == 2:
                 raise Char2Field("GF(2) is not supported")
+            if p >= PRIME_BOUND:
+                raise NotAPrime(f"{p} is not below {PRIME_BOUND}, where primality is certified")
             if not is_prime(p):
                 raise NotAPrime(f"{p} is not prime")
         self.p = p

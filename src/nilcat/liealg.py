@@ -1,8 +1,14 @@
 """Lie algebras given by structure constants, and their structural maps.
 
-Tables are stored for i < j only and extended by antisymmetry.  Subspaces
-keep their basis in reduced row echelon form, which makes equality and
-membership tests canonical.  All objects are immutable after construction.
+A LieAlgebra stores its structure constants once, as raw values: ints
+mod p over GF(p), Fractions over Q.  The table is sparse: one entry per
+pair i < j with a nonzero bracket, holding the nonzero (k, c_ij^k) in
+increasing k; the other brackets follow by antisymmetry.  bracket, the
+Jacobi check, the lower central series, the centre and the homomorphism
+test run on the raw values and wrap into FieldElem only what they return.
+Subspaces keep their basis in reduced row echelon form, which makes
+equality and membership tests canonical.  All objects are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import MixedFields, NotAnIdeal, NotAnAutomorphism
 from .field import FieldCtx, FieldElem
-from .linalg import Matrix, add_vec, is_zero_vec, scale_vec, zero_vec
+from .linalg import Matrix, is_zero_vec, kernel_raw, raw_zero, rref_raw, wrap
 
 
 @dataclass(frozen=True)
@@ -27,60 +33,106 @@ class JacobiViolation:
 class LieAlgebra:
     """Structure-constant Lie algebra over an exact field."""
 
-    __slots__ = ("field", "dim", "_tab", "_cache")
+    __slots__ = ("field", "dim", "_sc", "_cache")
 
     def __init__(self, field: FieldCtx, dim: int, tab):
         # tab[i][j] for i < j is the coordinate vector of [x_i, x_j]
+        sc = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                terms = tuple((k, c.v) for k, c in enumerate(tab[i][j]) if c.v)
+                if terms:
+                    sc[(i, j)] = terms
+        self._set(field, dim, sc)
+
+    def _set(self, field: FieldCtx, dim: int, sc: dict):
         self.field = field
         self.dim = dim
-        self._tab = tab
+        self._sc = sc  # {(i, j): ((k, c_ij^k), ...)}, 0-based, i < j
         self._cache = {}
+
+    @classmethod
+    def _from_sc(cls, field: FieldCtx, dim: int, sc: dict) -> "LieAlgebra":
+        L = cls.__new__(cls)
+        L._set(field, dim, sc)
+        return L
 
     @classmethod
     def from_table(cls, field: FieldCtx, dim: int, brackets: dict) -> "LieAlgebra":
         """Build from {(i, j): {k: coeff}} with 1-based indices, i < j."""
-        zero = field.zero()
-        tab = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                tab[i][j] = (zero,) * dim
+        sc = {}
         for (i, j), comps in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad bracket indices ({i}, {j})")
-            v = [zero] * dim
-            for k, c in comps.items():
+            terms = []
+            for k, c in sorted(comps.items()):
                 if not 1 <= k <= dim:
                     raise ValueError(f"bad component index {k}")
-                v[k - 1] = field.el(c)
-            tab[i - 1][j - 1] = tuple(v)
-        return cls(field, dim, tab)
+                v = field.el(c).v
+                if v:
+                    terms.append((k - 1, v))
+            if terms:
+                sc[(i - 1, j - 1)] = tuple(terms)
+        return cls._from_sc(field, dim, sc)
 
     @classmethod
     def abelian(cls, field: FieldCtx, dim: int) -> "LieAlgebra":
-        return cls.from_table(field, dim, {})
+        return cls._from_sc(field, dim, {})
+
+    def _ad(self) -> list:
+        """ad[i][j]: the terms of [x_i, x_j] for every i, j, signed."""
+        n, p = self.dim, self.field.p
+        ad = [[()] * n for _ in range(n)]
+        for (i, j), terms in self._sc.items():
+            ad[i][j] = terms
+            ad[j][i] = tuple((k, -c % p if p else -c) for k, c in terms)
+        return ad
+
+    def _row(self, i: int, j: int) -> list:
+        """[x_i, x_j] as a raw coordinate list."""
+        p = self.field.p
+        out = [raw_zero(self.field)] * self.dim
+        if i < j:
+            for k, c in self._sc.get((i, j), ()):
+                out[k] = c
+        elif i > j:
+            for k, c in self._sc.get((j, i), ()):
+                out[k] = -c % p if p else -c
+        return out
+
+    def _apply_ad(self, ad_i, b) -> list:
+        """ad(x_i) b on a raw coordinate list, reduced; ad_i is _ad()[i]."""
+        p = self.field.p
+        out = [raw_zero(self.field)] * self.dim
+        for j, bj in enumerate(b):
+            if bj:
+                for k, c in ad_i[j]:
+                    out[k] += bj * c
+        return [x % p for x in out] if p else out
+
+    def _bracket_raw(self, u, v) -> list:
+        """[u, v] on raw coordinate lists, reduced."""
+        p = self.field.p
+        out = [raw_zero(self.field)] * self.dim
+        for (i, j), terms in self._sc.items():
+            c = 0
+            if u[i] and v[j]:
+                c = u[i] * v[j]
+            if u[j] and v[i]:
+                c -= u[j] * v[i]
+            if c:
+                for k, s in terms:
+                    out[k] += c * s
+        return [x % p for x in out] if p else out
 
     def bracket_basis(self, i: int, j: int):
         """[x_i, x_j] for 0-based indices."""
-        if i == j:
-            return zero_vec(self.field, self.dim)
-        if i < j:
-            return self._tab[i][j]
-        return tuple(-x for x in self._tab[j][i])
+        return tuple(wrap(self.field, self._row(i, j)))
 
     def bracket(self, u, v):
         """Bilinear extension of the table to coordinate vectors."""
-        out = list(zero_vec(self.field, self.dim))
-        n = self.dim
-        for i in range(n):
-            ui = u[i]
-            for j in range(i + 1, n):
-                c = ui * v[j] - u[j] * v[i]
-                if c.v:
-                    w = self._tab[i][j]
-                    for k in range(n):
-                        if w[k].v:
-                            out[k] = out[k] + c * w[k]
-        return tuple(out)
+        raw = self._bracket_raw([x.v for x in u], [x.v for x in v])
+        return tuple(wrap(self.field, raw))
 
     def structure_constant(self, i: int, j: int, k: int) -> FieldElem:
         return self.bracket_basis(i, j)[k]
@@ -90,95 +142,84 @@ class LieAlgebra:
             isinstance(other, LieAlgebra)
             and self.field == other.field
             and self.dim == other.dim
-            and all(
-                self._tab[i][j] == other._tab[i][j]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
+            and self._sc == other._sc
         )
 
     def __repr__(self):
         parts = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                terms = [
-                    f"{c}*x{k + 1}"
-                    for k, c in enumerate(self._tab[i][j])
-                    if c.v
-                ]
-                if terms:
-                    parts.append(f"[x{i + 1},x{j + 1}]={'+'.join(terms)}")
+        for (i, j), terms in sorted(self._sc.items()):
+            rhs = "+".join(f"{c}*x{k + 1}" for k, c in terms)
+            parts.append(f"[x{i + 1},x{j + 1}]={rhs}")
         return f"LieAlgebra(dim={self.dim}, {', '.join(parts) or 'abelian'})"
 
     # -- validation and invariants ----------------------------------------
 
     def validate(self) -> JacobiViolation | None:
-        """None when the Jacobi identity holds on every basis triple."""
-        n = self.dim
+        """None when the Jacobi identity holds on every basis triple.
+
+        The Jacobi sum of (x_i, x_j, x_k) has coordinates
+        sum_l (c_ij^l c_lk^m + c_ki^l c_lj^m + c_jk^l c_li^m).
+        """
+        n, p = self.dim, self.field.p
+        ad = self._ad()
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = add_vec(
-                        self.bracket(self.bracket_basis(i, j), _basis_vec(self.field, n, k)),
-                        self.bracket(self.bracket_basis(k, i), _basis_vec(self.field, n, j)),
-                    )
-                    s = add_vec(
-                        s,
-                        self.bracket(self.bracket_basis(j, k), _basis_vec(self.field, n, i)),
-                    )
-                    if not is_zero_vec(s):
-                        return JacobiViolation((i + 1, j + 1, k + 1), s)
+                    s = [raw_zero(self.field)] * n
+                    for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
+                        for l, x in ad[a][b]:
+                            for m, y in ad[l][c]:
+                                s[m] += x * y
+                    if p:
+                        s = [x % p for x in s]
+                    if any(s):
+                        defect = tuple(wrap(self.field, s))
+                        return JacobiViolation((i + 1, j + 1, k + 1), defect)
         return None
 
     @property
     def is_abelian(self) -> bool:
-        return all(
-            is_zero_vec(self._tab[i][j])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return not self._sc
 
     def center(self) -> "Subspace":
         if "center" in self._cache:
             return self._cache["center"]
         n = self.dim
-        rows = []
-        for j in range(n):
-            cols = [self.bracket_basis(i, j) for i in range(n)]
-            for k in range(n):
-                rows.append([cols[i][k] for i in range(n)])
-        ker = Matrix(self.field, rows).kernel() if rows else []
-        out = Subspace.from_spanning(self.field, n, ker)
+        ad = self._ad()
+        # z is central iff sum_i z_i c_ij^k = 0 for every j and k
+        rows = [[raw_zero(self.field)] * n for _ in range(n * n)]
+        for i in range(n):
+            for j in range(n):
+                for k, c in ad[i][j]:
+                    rows[j * n + k][i] = c
+        ker = kernel_raw(self.field, rows, n)
+        out = Subspace._span_raw(self.field, n, ker)
         self._cache["center"] = out
         return out
 
     def derived_subalgebra(self) -> "Subspace":
-        gens = [
-            self._tab[i][j]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        ]
-        return Subspace.from_spanning(self.field, self.dim, gens)
+        gens = [self._row(i, j) for i, j in self._sc]
+        return Subspace._span_raw(self.field, self.dim, gens)
 
     def lower_central_series(self) -> list["Subspace"]:
         if "lcs" in self._cache:
             return self._cache["lcs"]
         n = self.dim
-        full = Subspace.from_spanning(
-            self.field, n, [_basis_vec(self.field, n, i) for i in range(n)]
-        )
-        series = [full]
-        cur = full
+        ad = self._ad()
+        zero = raw_zero(self.field)
+        ident = [[zero + 1 if i == j else zero for j in range(n)] for i in range(n)]
+        cur = Subspace._span_raw(self.field, n, ident)
+        series = [cur]
         while cur.dim > 0:
+            # the next term is spanned by the columns ad(x_i) b
             gens = []
             for b in cur.basis:
-                for i in range(n):
-                    gens.append(self.bracket(_basis_vec(self.field, n, i), b))
-            nxt = Subspace.from_spanning(self.field, n, gens)
-            if nxt.dim == cur.dim:
-                series.append(nxt)
-                break
+                b = [x.v for x in b]
+                gens.extend(self._apply_ad(ad[i], b) for i in range(n))
+            nxt = Subspace._span_raw(self.field, n, gens)
             series.append(nxt)
+            if nxt.dim == cur.dim:
+                break
             cur = nxt
         self._cache["lcs"] = series
         return series
@@ -214,9 +255,11 @@ class LieAlgebra:
         """(Q, proj, section) for an ideal; section hits the coordinate
         complement of the ideal's pivot columns."""
         n = self.dim
+        ad = self._ad()
         for b in ideal.basis:
+            b = [x.v for x in b]
             for i in range(n):
-                if not ideal.contains(self.bracket(_basis_vec(self.field, n, i), b)):
+                if any(ideal._reduce_raw(self._apply_ad(ad[i], b))[1]):
                     raise NotAnIdeal("subspace is not an ideal")
         pivots = ideal.pivots
         comp = [c for c in range(n) if c not in pivots]
@@ -237,30 +280,18 @@ class LieAlgebra:
         tab = [[None] * m for _ in range(m)]
         for a in range(m):
             for b in range(a + 1, m):
-                w = self.bracket(
-                    _basis_vec(self.field, n, comp[a]),
-                    _basis_vec(self.field, n, comp[b]),
-                )
-                tab[a][b] = proj_mat.matvec(w)
+                tab[a][b] = proj_mat.matvec(self.bracket_basis(comp[a], comp[b]))
         Q = LieAlgebra(self.field, m, tab)
         return Q, LinearMap(self, Q, proj_mat), LinearMap(Q, self, sect_mat)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         if self.field != other.field:
             raise MixedFields("direct sum over different fields")
-        n, m = self.dim, other.dim
-        zero = self.field.zero()
-        tab = [[None] * (n + m) for _ in range(n + m)]
-        for i in range(n + m):
-            for j in range(i + 1, n + m):
-                tab[i][j] = (zero,) * (n + m)
-        for i in range(n):
-            for j in range(i + 1, n):
-                tab[i][j] = self._tab[i][j] + (zero,) * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                tab[n + i][n + j] = (zero,) * n + other._tab[i][j]
-        return LieAlgebra(self.field, n + m, tab)
+        n = self.dim
+        sc = dict(self._sc)
+        for (i, j), terms in other._sc.items():
+            sc[(n + i, n + j)] = tuple((n + k, c) for k, c in terms)
+        return LieAlgebra._from_sc(self.field, n + other.dim, sc)
 
     def change_basis(self, P: Matrix) -> "LieAlgebra":
         """Table with respect to the new basis y_j = sum_i P[i][j] x_i."""
@@ -344,67 +375,62 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, field: FieldCtx, ambient_dim: int, vectors) -> "Subspace":
-        vectors = [v for v in vectors if not is_zero_vec(v)]
-        if not vectors:
-            return cls(field, ambient_dim, (), ())
-        R, pivots, rank = Matrix(field, vectors).rref()
-        return cls(
-            field,
-            ambient_dim,
-            tuple(tuple(R.data[i]) for i in range(rank)),
-            pivots[:rank],
-        )
+        return cls._span_raw(field, ambient_dim, [[x.v for x in v] for v in vectors])
+
+    @classmethod
+    def _span_raw(cls, field: FieldCtx, ambient_dim: int, vectors) -> "Subspace":
+        """The span of reduced raw coordinate lists."""
+        rows = [list(v) for v in vectors if any(v)]
+        pivots = rref_raw(field, rows, ambient_dim)
+        basis = tuple(tuple(wrap(field, rows[r])) for r in range(len(pivots)))
+        return cls(field, ambient_dim, basis, tuple(pivots))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
-        w = list(v)
+    def _reduce_raw(self, w):
+        """(coefficients, remainder) of a reduced raw vector w against the
+        RREF basis; w is consumed."""
+        p = self.field.p
+        coeffs = []
         for row, pc in zip(self.basis, self.pivots):
             c = w[pc]
-            if c.v:
-                for i in range(self.ambient_dim):
-                    w[i] = w[i] - c * row[i]
-        return is_zero_vec(w)
+            coeffs.append(c)
+            if c:
+                for i, x in enumerate(row):
+                    if x.v:
+                        w[i] = (w[i] - c * x.v) % p if p else w[i] - c * x.v
+        return coeffs, w
+
+    def contains(self, v) -> bool:
+        return not any(self._reduce_raw([x.v for x in v])[1])
 
     def coords_of(self, v):
         """Coefficients of v in the RREF basis, or None when v is outside."""
-        w = list(v)
-        out = []
-        for row, pc in zip(self.basis, self.pivots):
-            c = w[pc]
-            out.append(c)
-            if c.v:
-                for i in range(self.ambient_dim):
-                    w[i] = w[i] - c * row[i]
-        if not is_zero_vec(w):
+        coeffs, rest = self._reduce_raw([x.v for x in v])
+        if any(rest):
             return None
-        return tuple(out)
+        return tuple(wrap(self.field, coeffs))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.field, self.ambient_dim, (), ())
-        a, b = len(self.basis), len(other.basis)
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append(
-                [self.basis[r][i] for r in range(a)]
-                + [-other.basis[r][i] for r in range(b)]
-            )
-        ker = Matrix(self.field, rows).kernel()
+        field, n = self.field, self.ambient_dim
+        p = field.p
+        A = [[x.v for x in a] for a in self.basis]
+        B = [[x.v for x in b] for b in other.basis]
+        # kernel vectors (k, l) of sum_r k_r a_r = sum_s l_s b_s
+        rows = [[a[i] for a in A] + [-b[i] % p if p else -b[i] for b in B] for i in range(n)]
         vecs = []
-        for k in ker:
-            v = zero_vec(self.field, self.ambient_dim)
-            for r in range(a):
-                v = add_vec(v, scale_vec(k[r], self.basis[r]))
-            vecs.append(v)
-        return Subspace.from_spanning(self.field, self.ambient_dim, vecs)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_spanning(
-            self.field, self.ambient_dim, list(self.basis) + list(other.basis)
-        )
+        for k in kernel_raw(field, rows, len(A) + len(B)):
+            v = [raw_zero(field)] * n
+            for kr, a in zip(k, A):
+                if kr:
+                    for i, x in enumerate(a):
+                        v[i] += kr * x
+            vecs.append([x % p for x in v] if p else v)
+        return Subspace._span_raw(field, n, vecs)
 
     def __eq__(self, other):
         return (
@@ -443,13 +469,20 @@ class LinearMap:
         return LinearMap(self.codomain, self.domain, self.matrix.invert())
 
     def is_homomorphism(self) -> bool:
-        n = self.domain.dim
-        cols = [self.matrix.col(j) for j in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.apply(self.domain.bracket_basis(i, j))
-                rhs = self.codomain.bracket(cols[i], cols[j])
-                if lhs != rhs:
+        dom, cod, M = self.domain, self.codomain, self.matrix
+        p = cod.field.p
+        cols = [[row[j].v for row in M.data] for j in range(M.cols)]
+        for i in range(dom.dim):
+            for j in range(i + 1, dom.dim):
+                # M [x_i, x_j] against [M x_i, M x_j]
+                lhs = [raw_zero(cod.field)] * M.rows
+                for k, c in dom._sc.get((i, j), ()):
+                    for r, x in enumerate(cols[k]):
+                        if x:
+                            lhs[r] += c * x
+                if p:
+                    lhs = [x % p for x in lhs]
+                if lhs != cod._bracket_raw(cols[i], cols[j]):
                     return False
         return True
 

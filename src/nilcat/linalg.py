@@ -1,5 +1,14 @@
 """Dense exact linear algebra over a FieldCtx.
 
+A Matrix keeps its entries as FieldElem, which is what callers read and
+write.  The arithmetic runs on the raw values underneath: ints mod p over
+GF(p), Fractions over Q (never ints, so a Q entry always has a numerator
+and a denominator).  rref, products and matvec unwrap the entries, skip
+zeros, reduce mod p once per entry and wrap only what they return; so do
+rank, kernel, solve and invert.  The raw routines (raw_zero, wrap,
+rref_raw, kernel_raw) are shared with liealg, whose structure constants
+are stored as raw values too.
+
 Everything is small (dimensions stay below ~40), so the implementation
 favours determinism and exactness over asymptotics: pivots are the first
 nonzero entry in a column, free variables in solve() are set to 0.
@@ -7,8 +16,79 @@ nonzero entry in a column, free variables in solve() are set to 0.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import MixedFields, Singular
 from .field import FieldCtx, FieldElem
+
+
+def raw_zero(field: FieldCtx):
+    """The zero every raw accumulation starts from: 0, or Fraction(0) over Q."""
+    return 0 if field.p else Fraction(0)
+
+
+def wrap(field: FieldCtx, raw) -> list:
+    """FieldElem list of reduced raw values; the zeros share one object."""
+    zero = FieldElem(field, raw_zero(field))
+    return [FieldElem(field, x) if x else zero for x in raw]
+
+
+def rref_raw(field: FieldCtx, m, cols: int) -> list:
+    """Reduce the rows m (lists of reduced raw values) in place to reduced
+    row echelon form and return the pivot columns."""
+    p = field.p
+    rows = len(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        if p:
+            inv = pow(prow[c], -1, p)
+            prow = [x * inv % p for x in prow]
+        else:
+            inv = 1 / prow[c]
+            prow = [x * inv if x else x for x in prow]
+        m[r] = prow
+        # left of c the pivot row is zero, so only its nonzero tail matters
+        nz = [j for j in range(c, cols) if prow[j]]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                row = m[i]
+                if p:
+                    for j in nz:
+                        row[j] = (row[j] - f * prow[j]) % p
+                else:
+                    for j in nz:
+                        row[j] -= f * prow[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def kernel_raw(field: FieldCtx, m, cols: int) -> list:
+    """Null-space basis of the raw rows m (consumed), one vector per free
+    column with a 1 there and free variables 0."""
+    p = field.p
+    pivots = rref_raw(field, m, cols)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [raw_zero(field)] * cols
+        v[fc] = raw_zero(field) + 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] % p if p else -m[r][fc]
+        basis.append(v)
+    return basis
 
 
 class Matrix:
@@ -100,32 +180,38 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = self.field.zero()
-        bdata = other.data
+        p = self.field.p
+        zero = raw_zero(self.field)
+        bcols = [[row[j].v for row in other.data] for j in range(other.cols)]
         out = []
         for arow in self.data:
+            nz = [(k, a.v) for k, a in enumerate(arow) if a.v]
             orow = []
-            for j in range(other.cols):
+            for col in bcols:
                 s = zero
-                for k in range(self.cols):
-                    a = arow[k]
-                    if a.v:
-                        s = s + a * bdata[k][j]
-                orow.append(s)
-            out.append(orow)
+                for k, a in nz:
+                    b = col[k]
+                    if b:
+                        s += a * b
+                orow.append(s % p if p else s)
+            out.append(wrap(self.field, orow))
         return Matrix(self.field, out, cols=other.cols)
 
     def matvec(self, v):
         """Apply to a coordinate vector (tuple of FieldElem)."""
-        zero = self.field.zero()
+        p = self.field.p
+        zero = raw_zero(self.field)
+        x = [e.v for e in v[: self.cols]]
+        nz = [k for k, e in enumerate(x) if e]
         out = []
         for row in self.data:
             s = zero
-            for a, x in zip(row, v):
-                if a.v and x.v:
-                    s = s + a * x
-            out.append(s)
-        return tuple(out)
+            for k in nz:
+                a = row[k].v
+                if a:
+                    s += a * x[k]
+            out.append(s % p if p else s)
+        return tuple(wrap(self.field, out))
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -145,75 +231,51 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
+    def _raw(self) -> list:
+        return [[x.v for x in row] for row in self.data]
+
     def rref(self):
         """Reduced row echelon form: (R, pivot column indices, rank)."""
-        m = [row[:] for row in self.data]
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pr = None
-            for i in range(r, rows):
-                if m[i][c].v:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inv()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c].v:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return Matrix(self.field, m, cols=cols), tuple(pivots), r
+        m = self._raw()
+        pivots = rref_raw(self.field, m, self.cols)
+        R = Matrix(self.field, [wrap(self.field, row) for row in m], cols=self.cols)
+        return R, tuple(pivots), len(pivots)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        return len(rref_raw(self.field, self._raw(), self.cols))
 
     def kernel(self):
         """Basis of the null space, as a list of coordinate vectors."""
-        R, pivots, rank = self.rref()
-        zero, one = self.field.zero(), self.field.one()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return [tuple(wrap(self.field, v)) for v in kernel_raw(self.field, self._raw(), self.cols)]
 
     def solve(self, b):
         """A particular solution of M x = b, or None when inconsistent.
 
         Free variables are set to 0, so the output is deterministic.
         """
-        rhs = Matrix(self.field, [[x] for x in b])
-        aug = self.augment(rhs)
-        R, pivots, rank = aug.rref()
+        b = [x.v for x in b]
+        if len(b) != self.rows:
+            raise ValueError("row count mismatch")
+        m = [row + [x] for row, x in zip(self._raw(), b)]
+        pivots = rref_raw(self.field, m, self.cols + 1)
         if self.cols in pivots:
             return None
-        zero = self.field.zero()
-        x = [zero] * self.cols
+        x = [raw_zero(self.field)] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
-        return tuple(x)
+            x[pc] = m[r][self.cols]
+        return tuple(wrap(self.field, x))
 
     def invert(self) -> "Matrix":
         if self.rows != self.cols:
             raise Singular("only square matrices can be inverted")
         n = self.rows
-        aug = self.augment(Matrix.identity(self.field, n))
-        R, pivots, rank = aug.rref()
-        if rank < n or any(p >= n for p in pivots):
+        one = raw_zero(self.field) + 1
+        m = [row + [one if j == i else raw_zero(self.field) for j in range(n)]
+             for i, row in enumerate(self._raw())]
+        pivots = rref_raw(self.field, m, 2 * n)
+        if len(pivots) < n or any(p >= n for p in pivots):
             raise Singular("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in R.data])
+        return Matrix(self.field, [wrap(self.field, row[n:]) for row in m])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -229,20 +291,8 @@ class Matrix:
         return Matrix(self.field, out)
 
 
-def vec(field: FieldCtx, entries):
-    return tuple(field.el(x) for x in entries)
-
-
 def zero_vec(field: FieldCtx, n: int):
     return (field.zero(),) * n
-
-
-def add_vec(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_vec(c: FieldElem, a):
-    return tuple(c * x for x in a)
 
 
 def is_zero_vec(a) -> bool:

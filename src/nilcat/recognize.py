@@ -30,7 +30,6 @@ from .errors import (
     NotALieAlgebra,
     NotNilpotent,
 )
-from .field import two_by_two_with_det  # noqa: F401  (re-exported operation)
 from .liealg import LieAlgebra, LinearMap
 from .linalg import Matrix
 
@@ -39,7 +38,6 @@ __all__ = [
     "RecognitionResult",
     "NormalizationStep",
     "skew_normal_form",
-    "two_by_two_with_det",
 ]
 
 

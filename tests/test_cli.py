@@ -162,3 +162,44 @@ def test_invariants_command(example_file, capsys):
     assert code == 0
     assert "lcs_dims: 6 3 2 0" in out
     assert "center_dim: 2" in out
+
+
+def _recognize_text(tmp_path, capsys, text):
+    f = tmp_path / "input.alg"
+    f.write_text(text)
+    return run_cli(capsys, "recognize", str(f))
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("field Q\ndim x\n", 2),
+        ("field Q\ndim 3\n[1,2] 3:1/0\n", 3),
+        ("field Q\ndim 3\n[1,2] 3:abc\n", 3),
+        ("field Q\ndim 3\n[1 2] 3:1\n", 3),
+        ("field GF(3)\ndim 3\n[1,2] 3:1/3\n", 3),
+        ("field Q\ndim 3\n[1,2\n", 3),
+    ],
+    ids=["dim-not-int", "zero-denominator", "bad-scalar", "no-comma", "denominator-mod-p",
+         "no-closing-bracket"],
+)
+def test_malformed_line_is_one_error_line(tmp_path, capsys, text, lineno):
+    code, out, err = _recognize_text(tmp_path, capsys, text)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: line {lineno}:")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, what",
+    [
+        ("field Q\ndim 3\n[1,2] 3:1\n[1,2] 3:5\n", 4, "repeated bracket [1,2]"),
+        ("field Q\ndim 3\n[1,2] 3:1 3:5\n", 3, "repeated component 3"),
+        ("field Q\ndim 3\ndim 4\n", 3, "repeated dim header"),
+    ],
+    ids=["bracket-line", "component", "header"],
+)
+def test_duplicate_input_is_rejected(tmp_path, capsys, text, lineno, what):
+    code, out, err = _recognize_text(tmp_path, capsys, text)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: line {lineno}: {what}: {text.splitlines()[lineno - 1]!r}"

@@ -12,7 +12,10 @@ from nilcat.errors import (
     ZeroArgument,
 )
 from nilcat.field import (
+    PRIME_BOUND,
     FieldCtx,
+    factorize,
+    is_prime,
     is_square,
     parse_field,
     prime_field,
@@ -185,3 +188,21 @@ def test_two_by_two_with_det_property(x, y, det):
     assert a * d - b * c == Q.el(det)
     assert a * Q.el(x) + b * Q.el(y) == Q.el(1)
     assert c * Q.el(x) + d * Q.el(y) == Q.el(0)
+
+
+def test_strong_pseudoprime_psi12_is_composite():
+    # the least strong pseudoprime to the prime bases 2..37
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12)
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(NotAPrime):
+        prime_field(psi12)
+
+
+def test_prime_field_refuses_p_beyond_certified_bound():
+    below = PRIME_BOUND - 168  # the largest prime under the bound
+    assert prime_field(below).p == below
+    with pytest.raises(NotAPrime):
+        prime_field(PRIME_BOUND)
+    with pytest.raises(NotAPrime):
+        FieldCtx(2**89 - 1)  # a Mersenne prime above the bound

@@ -1,0 +1,270 @@
+"""The raw-value kernel against the FieldElem loops it replaced.
+
+The reference functions below are the former implementations of
+LieAlgebra.bracket, the Jacobi check, the lower central series and
+Matrix.rref/__mul__/matvec, written on FieldElem arithmetic and the public
+bracket_basis table.  Random tables over GF(3), GF(7) and Q (most of them
+violating Jacobi) and random matrices must give the same values, pivots,
+violating triple and defect, and every Q entry must still be a Fraction.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from nilcat.catalog import ids_over, instantiate
+from nilcat.field import prime_field, rationals
+from nilcat.liealg import LieAlgebra, LinearMap
+from nilcat.linalg import Matrix
+from nilcat.oracle import fuzz_basis_change
+
+FIELDS = [prime_field(3), prime_field(7), rationals()]
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def ref_rref(M):
+    m = [row[:] for row in M.data]
+    rows, cols = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if m[i][c].v:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c].v:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, tuple(pivots), r
+
+
+def ref_mul(A, B):
+    zero = A.field.zero()
+    out = []
+    for arow in A.data:
+        orow = []
+        for j in range(B.cols):
+            s = zero
+            for k in range(A.cols):
+                if arow[k].v:
+                    s = s + arow[k] * B.data[k][j]
+            orow.append(s)
+        out.append(orow)
+    return out
+
+
+def ref_matvec(M, v):
+    zero = M.field.zero()
+    out = []
+    for row in M.data:
+        s = zero
+        for a, x in zip(row, v):
+            if a.v and x.v:
+                s = s + a * x
+        out.append(s)
+    return tuple(out)
+
+
+def ref_bracket(L, u, v):
+    out = [L.field.zero()] * L.dim
+    n = L.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = u[i] * v[j] - u[j] * v[i]
+            if c.v:
+                w = L.bracket_basis(i, j)
+                for k in range(n):
+                    if w[k].v:
+                        out[k] = out[k] + c * w[k]
+    return tuple(out)
+
+
+def basis_vec(field, n, i):
+    return tuple(field.el(1 if j == i else 0) for j in range(n))
+
+
+def ref_validate(L):
+    n, F = L.dim, L.field
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = [
+                    ref_bracket(L, L.bracket_basis(i, j), basis_vec(F, n, k)),
+                    ref_bracket(L, L.bracket_basis(k, i), basis_vec(F, n, j)),
+                    ref_bracket(L, L.bracket_basis(j, k), basis_vec(F, n, i)),
+                ]
+                s = tuple(a + b + c for a, b, c in zip(*terms))
+                if any(x.v for x in s):
+                    return (i + 1, j + 1, k + 1), s
+    return None
+
+
+def ref_span(field, n, vectors):
+    vectors = [v for v in vectors if any(x.v for x in v)]
+    if not vectors:
+        return (), ()
+    m, pivots, rank = ref_rref(Matrix(field, vectors))
+    return tuple(tuple(m[i]) for i in range(rank)), pivots
+
+
+def ref_lcs(L):
+    n, F = L.dim, L.field
+    cur = ref_span(F, n, [basis_vec(F, n, i) for i in range(n)])
+    series = [cur]
+    while cur[0]:
+        gens = [ref_bracket(L, basis_vec(F, n, i), b) for b in cur[0] for i in range(n)]
+        nxt = ref_span(F, n, gens)
+        series.append(nxt)
+        if len(nxt[0]) == len(cur[0]):
+            break
+        cur = nxt
+    return series
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+def scalars(field):
+    if field.is_rationals:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def random_algebras(draw):
+    """Arbitrary tables: most of them violate Jacobi."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 5))
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if draw(st.booleans()):
+                ks = draw(st.sets(st.integers(1, n), max_size=2))
+                brackets[(i, j)] = {k: draw(scalars(field)) for k in ks}
+    return LieAlgebra.from_table(field, n, brackets)
+
+
+@st.composite
+def catalog_copies(draw):
+    """Lie algebras: catalog tables under a seeded basis change."""
+    field = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(3, 5))
+    cid = draw(st.sampled_from(ids_over(field, dim)))
+    seed = draw(st.integers(0, 10**6))
+    return next(fuzz_basis_change(instantiate(cid), 1, seed))[1]
+
+
+algebras = st.one_of(random_algebras(), catalog_copies())
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    L = draw(algebras)
+    vec = st.lists(scalars(L.field), min_size=L.dim, max_size=L.dim)
+    u, v = draw(vec), draw(vec)
+    return L, tuple(map(L.field.el, u)), tuple(map(L.field.el, v))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, field=None):
+    field = field or draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    data = draw(st.lists(st.lists(scalars(field), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return Matrix(field, [[field.el(x) for x in row] for row in data], cols=cols)
+
+
+def assert_fractions(field, entries):
+    if field.is_rationals:
+        assert all(type(x.v) is Fraction for x in entries)
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_vectors())
+def test_bracket_matches_reference(case):
+    L, u, v = case
+    got = L.bracket(u, v)
+    assert got == ref_bracket(L, u, v)
+    assert_fractions(L.field, got)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            assert_fractions(L.field, L.bracket_basis(i, j))
+            if i > j:
+                assert L.bracket_basis(i, j) == tuple(-x for x in L.bracket_basis(j, i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebras)
+def test_validate_matches_reference(L):
+    bad, ref = L.validate(), ref_validate(L)
+    if ref is None:
+        assert bad is None
+    else:
+        assert bad is not None
+        assert (bad.triple, bad.defect) == ref
+        assert_fractions(L.field, bad.defect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras)
+def test_lower_central_series_matches_reference(L):
+    got = L.lower_central_series()
+    assert [(S.basis, S.pivots) for S in got] == ref_lcs(L)
+    for S in got:
+        for b in S.basis:
+            assert_fractions(L.field, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras)
+def test_identity_is_homomorphism_and_table_round_trips(L):
+    ident = LinearMap(L, L, Matrix.identity(L.field, L.dim))
+    assert ident.is_homomorphism()
+    tab = [[L.bracket_basis(i, j) for j in range(L.dim)] for i in range(L.dim)]
+    assert LieAlgebra(L.field, L.dim, tab) == L
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_reference(M):
+    R, pivots, rank = M.rref()
+    m, ref_pivots, ref_rank = ref_rref(M)
+    assert R.data == m and pivots == ref_pivots and rank == ref_rank
+    assert_fractions(M.field, [x for row in R.data for x in row])
+
+
+@st.composite
+def matrix_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(matrices(r, k, field)), draw(matrices(k, c, field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_mul_and_matvec_match_reference(pair):
+    A, B = pair
+    AB = A * B
+    assert AB.data == ref_mul(A, B)
+    assert_fractions(A.field, [x for row in AB.data for x in row])
+    for j in range(B.cols):
+        col = B.col(j)
+        assert A.matvec(col) == ref_matvec(A, col)
+        assert_fractions(A.field, A.matvec(col))
