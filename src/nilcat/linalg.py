@@ -6,8 +6,9 @@ GF(p), Fractions over Q (never ints, so a Q entry always has a numerator
 and a denominator).  rref, products and matvec unwrap the entries, skip
 zeros, reduce mod p once per entry and wrap only what they return; so do
 rank, kernel, solve and invert.  The raw routines (raw_zero, wrap,
-rref_raw, kernel_raw) are shared with liealg, whose structure constants
-are stored as raw values too.
+rref_raw, kernel_raw, solve_raw) are shared with liealg, whose structure
+constants are stored as raw values too, and with the isomorphism oracle;
+rref_raw is the only elimination loop in the package.
 
 Everything is small (dimensions stay below ~40), so the implementation
 favours determinism and exactness over asymptotics: pivots are the first
@@ -89,6 +90,19 @@ def kernel_raw(field: FieldCtx, m, cols: int) -> list:
             v[pc] = -m[r][fc] % p if p else -m[r][fc]
         basis.append(v)
     return basis
+
+
+def solve_raw(field: FieldCtx, m, b, cols: int):
+    """A particular solution x of m x = b on raw rows (free variables 0),
+    or None when the system is inconsistent."""
+    m = [[*row, x] for row, x in zip(m, b)]
+    pivots = rref_raw(field, m, cols + 1)
+    if cols in pivots:
+        return None
+    x = [raw_zero(field)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][cols]
+    return x
 
 
 class Matrix:
@@ -253,17 +267,10 @@ class Matrix:
 
         Free variables are set to 0, so the output is deterministic.
         """
-        b = [x.v for x in b]
         if len(b) != self.rows:
             raise ValueError("row count mismatch")
-        m = [row + [x] for row, x in zip(self._raw(), b)]
-        pivots = rref_raw(self.field, m, self.cols + 1)
-        if self.cols in pivots:
-            return None
-        x = [raw_zero(self.field)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
-        return tuple(wrap(self.field, x))
+        x = solve_raw(self.field, self._raw(), [e.v for e in b], self.cols)
+        return None if x is None else tuple(wrap(self.field, x))
 
     def invert(self) -> "Matrix":
         if self.rows != self.cols:

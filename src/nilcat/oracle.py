@@ -1,16 +1,20 @@
 """Independent verification tools: isomorphism-invariant fingerprints, a
-filtration-respecting backtracking isomorphism search over small prime
-fields, and a seeded basis-change fuzzer.
+filtration-respecting backtracking isomorphism search over prime fields,
+and a seeded basis-change fuzzer.
 
-The search peels off central components first (complements of the centre
-meet the derived subalgebra trivially, so cores are unique up to
-isomorphism), compares graded rank profiles of the lower-central-series
-quotients, and then enumerates images of a generating set in two stages:
-the induced map on the graded quotients, pruned by exact relation
-transport over every generator pair, and lifts of the surviving graded
-maps, pruned by incremental bracket consistency.  Any map found is
-re-verified as an isomorphism on the public exact types before it escapes
-this module.
+The search runs on the raw values the rest of nilcat uses: coordinate
+lists of ints mod p, each algebra's raw bracket and cached lower central
+series, and linalg's rref_raw and solve_raw.  It peels off central
+components first (complements of the centre meet the derived subalgebra
+trivially, so cores are unique up to isomorphism), compares graded rank
+profiles of the lower-central-series quotients, and then enumerates
+images of a generating set in two stages: the induced map on the graded
+quotients, pruned by exact relation transport over every generator pair,
+and lifts of the surviving graded maps, pruned by incremental bracket
+consistency.  The node budget bounds every enumeration: when one would
+have more elements than the budget allows nodes, the search returns
+"budget" before building it.  Any map found is re-verified as an
+isomorphism on the public exact types before it escapes this module.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from itertools import product
 from .cohomology import compute_spaces
 from .errors import InternalInvariantViolated, MixedFields, ZeroArgument
 from .liealg import LieAlgebra, LinearMap
-from .linalg import Matrix
+from .linalg import Matrix, rref_raw, solve_raw
 
 
 @dataclass
 class IsoSearchConfig:
     max_nodes: int = 10_000_000
-    prefilter: bool = True
 
     def __post_init__(self):
         if self.max_nodes <= 0:
@@ -52,174 +55,87 @@ def invariant_vector(L: LieAlgebra):
     return (lcs, der, C.dim, C.intersect(D).dim, compute_spaces(L).dim_h2)
 
 
-# -- dense linear algebra over F_p with plain ints ------------------------
+# -- raw coordinate lists over F_p ----------------------------------------
 
 
-def _rref_int(rows, p):
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return [], []
-    cols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
+def _rref(field, rows):
+    """(nonzero RREF rows, pivots) of the raw rows, which are copied."""
+    m = [list(r) for r in rows]
+    pivots = rref_raw(field, m, len(m[0]) if m else 0)
+    return m[: len(pivots)], pivots
 
 
-def _reduce_against(v, basis, pivots, p):
+def _raw_series(L: LieAlgebra):
+    """The lower central series as (raw RREF rows, pivots) pairs."""
+    return [([[x.v for x in b] for b in S.basis], S.pivots) for S in L.lower_central_series()]
+
+
+def _reduce_against(v, basis, pivots, field):
+    p = field.p
     w = list(v)
     for row, pc in zip(basis, pivots):
-        if w[pc]:
-            f = w[pc]
+        f = w[pc]
+        if f:
             w = [(a - f * b) % p for a, b in zip(w, row)]
     return w
 
 
-def _in_span(v, basis, pivots, p):
-    return not any(_reduce_against(v, basis, pivots, p))
+def _in_span(v, basis, pivots, field):
+    return not any(_reduce_against(v, basis, pivots, field))
 
 
-def _solve_int(M, b, p):
-    """Solve M x = b over F_p; None when inconsistent."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    aug = [list(M[i]) + [b[i] % p] for i in range(rows)]
-    red, piv = _rref_int(aug, p)
-    if any(pc == cols for pc in piv):
-        return None
-    x = [0] * cols
-    for r, pc in zip(red, piv):
-        x[pc] = r[cols]
-    return x
-
-
-def _invert_int(M, p):
-    n = len(M)
-    aug = [list(M[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red, piv = _rref_int(aug, p)
-    if len(red) < n or any(pc >= n for pc in piv):
-        raise InternalInvariantViolated("singular matrix")
-    return [list(r[n:]) for r in red]
-
-
-def _matmul_int(A, B, p):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(inner)) % p for j in range(cols)]
-        for i in range(rows)
-    ]
+def _combo(p, n, terms):
+    """The sum of c * v over the (c, v) terms, reduced mod p."""
+    out = [0] * n
+    for c, v in terms:
+        if c:
+            for i, y in enumerate(v):
+                out[i] += c * y
+    return [x % p for x in out]
 
 
 def _span_elements(basis, p, n):
-    if not basis:
-        return [tuple([0] * n)]
-    out = []
-    for coeffs in product(range(p), repeat=len(basis)):
-        v = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                v = [(x + c * y) % p for x, y in zip(v, b)]
-        out.append(tuple(v))
-    return out
+    coeffs = product(range(p), repeat=len(basis))
+    return [tuple(_combo(p, n, zip(cs, basis))) for cs in coeffs]
 
 
-class _FpAlgebra:
-    """Plain-int mirror of a LieAlgebra over GF(p)."""
-
-    def __init__(self, L: LieAlgebra):
-        self.p = L.field.p
-        self.n = L.dim
-        self.tab = [
-            [tuple(x.v for x in L.bracket_basis(i, j)) for j in range(L.dim)]
-            for i in range(L.dim)
-        ]
-
-    def bracket(self, u, v):
-        n, p = self.n, self.p
-        out = [0] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            ti = self.tab[i]
-            for j in range(n):
-                if i == j or not v[j]:
-                    continue
-                c = (u[i] * v[j]) % p
-                w = ti[j]
-                for k in range(n):
-                    if w[k]:
-                        out[k] = (out[k] + c * w[k]) % p
-        return tuple(out)
-
-    def lcs_bases(self):
-        n, p = self.n, self.p
-        full = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        series = [(full, list(range(n)))]
-        cur = full
-        while True:
-            gens = []
-            for b in cur:
-                for i in range(n):
-                    e = tuple(1 if j == i else 0 for j in range(n))
-                    w = self.bracket(e, b)
-                    if any(w):
-                        gens.append(w)
-            basis, pivots = _rref_int(gens, p)
-            series.append((basis, pivots))
-            if not basis or len(basis) == len(cur):
-                break
-            cur = basis
-        return series
-
-
-def _complement_reps(upper, lower_basis, lower_pivots, p):
+def _complement_reps(upper, lower_basis, lower_pivots, field):
     reps = []
-    basis = [list(b) for b in lower_basis]
-    pivots = list(lower_pivots)
+    basis, pivots = list(lower_basis), lower_pivots
     for v in upper:
-        red = _reduce_against(v, basis, pivots, p)
+        red = _reduce_against(v, basis, pivots, field)
         if any(red):
             reps.append(tuple(v))
-            basis, pivots = _rref_int(basis + [red], p)
+            basis, pivots = _rref(field, basis + [red])
     return reps
 
 
 class _Grade:
     """Coordinates in one graded slice F_w / F_{w+1}."""
 
-    def __init__(self, upper, lower, lo_piv, p):
-        self.p = p
+    def __init__(self, upper, lower, lo_piv, field):
+        self.field = field
         self.lower = lower
         self.lo_piv = lo_piv
-        self.reps = _complement_reps(upper, lower, lo_piv, p)
-        red = [_reduce_against(r, lower, lo_piv, p) for r in self.reps]
-        n = len(red[0]) if red else 0
-        self.solver = [[red[k][c] for k in range(len(red))] for c in range(n)]
+        self.reps = _complement_reps(upper, lower, lo_piv, field)
+        red = [_reduce_against(r, lower, lo_piv, field) for r in self.reps]
+        self.solver = [list(col) for col in zip(*red)]
 
     @property
     def dim(self):
         return len(self.reps)
 
     def coord_of(self, v):
-        red = _reduce_against(v, self.lower, self.lo_piv, self.p)
+        red = _reduce_against(v, self.lower, self.lo_piv, self.field)
         if not self.reps:
             return () if not any(red) else None
-        sol = _solve_int(self.solver, red, self.p)
+        sol = solve_raw(self.field, self.solver, red, self.dim)
         return None if sol is None else tuple(sol)
+
+
+def _grades(series, field):
+    """The slices F_w / F_{w+1} for w >= 2 of a raw lower central series."""
+    return [_Grade(series[w][0], *series[w + 1], field) for w in range(1, len(series) - 1)]
 
 
 def _proj_functionals(s, p):
@@ -234,63 +150,53 @@ def _proj_functionals(s, p):
     return out
 
 
-def _rank_profile(alg: _FpAlgebra, series, grades):
+def _rank_profile(L: LieAlgebra, series, grades):
     """Per weight w >= 2, the sorted ranks of f composed with the graded
     bracket into F_w / F_{w+1}, over all functionals f up to scalar.
 
     An isomorphism induces graded isomorphisms, so this multiset family is
     an isomorphism invariant.
     """
-    p = alg.p
-    g1 = _Grade(series[0][0], series[1][0], series[1][1], p)
+    field, p = L.field, L.field.p
+    g1 = _Grade(series[0][0], *series[1], field)
     profile = []
     for w in range(2, len(grades) + 2):
         gw = grades[w - 2]
         if gw.dim == 0:
             continue
-        if w == 2:
-            sources = [(g1, g1)]
-        else:
-            sources = [(g1, grades[w - 3])]
+        right = g1 if w == 2 else grades[w - 3]
+        Z = [[gw.coord_of(L._bracket_raw(a, b)) for b in right.reps] for a in g1.reps]
         ranks = []
         for f in _proj_functionals(gw.dim, p):
-            left, right = sources[0]
-            M = []
-            for a in left.reps:
-                row = []
-                for b in right.reps:
-                    z = gw.coord_of(alg.bracket(a, b))
-                    if z is None:
-                        row.append(0)
-                    else:
-                        row.append(sum(fc * zc for fc, zc in zip(f, z)) % p)
-                M.append(row)
-            _, piv = _rref_int(M, p)
-            ranks.append(len(piv))
+            M = [
+                [0 if z is None else sum(fc * zc for fc, zc in zip(f, z)) % p for z in row]
+                for row in Z
+            ]
+            ranks.append(len(rref_raw(field, M, right.dim)))
         profile.append((w, tuple(sorted(ranks))))
     return tuple(profile)
 
 
-def _adapted_basis(alg: _FpAlgebra, gens):
+def _adapted_basis(L: LieAlgebra, gens):
     """Extend the generators by bracket monomials to a full basis."""
-    p = alg.p
+    field = L.field
     vectors = list(gens)
     exprs = [("gen", t) for t in range(len(gens))]
     needs = list(range(len(gens)))
-    basis, pivots = _rref_int(vectors, p)
-    while len(vectors) < alg.n:
+    basis, pivots = _rref(field, vectors)
+    while len(vectors) < L.dim:
         added = False
         m = len(vectors)
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
-                w = alg.bracket(vectors[i], vectors[j])
-                if any(w) and not _in_span(w, basis, pivots, p):
+                w = L._bracket_raw(vectors[i], vectors[j])
+                if any(w) and not _in_span(w, basis, pivots, field):
                     vectors.append(w)
                     exprs.append(("br", i, j))
                     needs.append(max(needs[i], needs[j]))
-                    basis, pivots = _rref_int(vectors, p)
+                    basis, pivots = _rref(field, vectors)
                     added = True
                     break
             if added:
@@ -305,28 +211,26 @@ class _Budget(Exception):
 
 
 def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None) -> IsoOutcome:
-    """Backtracking isomorphism search over a small prime field.
+    """Backtracking isomorphism search over a prime field.
 
     Returns an IsoOutcome whose status is "iso" with a verified witness,
     "non_iso" after exhausting the constrained search space, or "budget"
-    when the node budget ran out (a distinguished result, not an error).
+    when the node budget ran out or an enumeration would exceed it (a
+    distinguished result, not an error).
     """
     cfg = cfg or IsoSearchConfig()
     if A.field != B.field:
         raise MixedFields("algebras over different fields")
     if A.field.is_rationals:
         raise ZeroArgument("the search is only available over prime fields")
-    if A.dim != B.dim:
-        return IsoOutcome("non_iso", None, 0)
-    if cfg.prefilter and invariant_vector(A) != invariant_vector(B):
+    if A.dim != B.dim or invariant_vector(A) != invariant_vector(B):
         return IsoOutcome("non_iso", None, 0)
 
     # split off central components; complements are unique up to
-    # isomorphism, so it suffices to compare the cores
+    # isomorphism, so it suffices to compare the cores.  Equal fingerprints
+    # give abelian summands of equal dimension and equal series dimensions.
     core_a, da, split_a = A.strip_central_component()
-    core_b, db, split_b = B.strip_central_component()
-    if da != db:
-        return IsoOutcome("non_iso", None, 0)
+    core_b, _, split_b = B.strip_central_component()
     if da > 0:
         if core_a.dim == 0:
             ident = LinearMap(A, B, Matrix.identity(A.field, A.dim))
@@ -341,32 +245,29 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
         )
         return IsoOutcome("iso", LinearMap(A, B, M).verify(), sub.nodes)
 
-    fa, fb = _FpAlgebra(A), _FpAlgebra(B)
-    p, n = fa.p, fa.n
-    series_a = fa.lcs_bases()
-    series_b = fb.lcs_bases()
-    if [len(b) for b, _ in series_a] != [len(b) for b, _ in series_b]:
-        return IsoOutcome("non_iso", None, 0)
+    field, p, n = A.field, A.field.p, A.dim
+    series_a, series_b = _raw_series(A), _raw_series(B)
+    grades_a, grades_b = _grades(series_a, field), _grades(series_b, field)
 
-    grades_a = [
-        _Grade(series_a[w][0], series_a[w + 1][0], series_a[w + 1][1], p)
-        for w in range(1, len(series_a) - 1)
-    ]
-    grades_b = [
-        _Grade(series_b[w][0], series_b[w + 1][0], series_b[w + 1][1], p)
-        for w in range(1, len(series_b) - 1)
-    ]
-    if _rank_profile(fa, series_a, grades_a) != _rank_profile(fb, series_b, grades_b):
-        return IsoOutcome("non_iso", None, 0)
-
-    std = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    f2a, f2a_piv = series_a[1]
+    std = series_a[0][0]
     f2b, f2b_piv = series_b[1]
-    gens_a = _complement_reps(std, f2a, f2a_piv, p)
-    reps_b = _complement_reps(std, f2b, f2b_piv, p)
+    gens_a = _complement_reps(std, *series_a[1], field)
+    reps_b = _complement_reps(std, f2b, f2b_piv, field)
+    # generator corrections live in F2; shifts by central elements change
+    # neither bracket consistency nor (given graded bijectivity)
+    # invertibility, so coset representatives modulo the centre suffice.
+    # After splitting off central components the centre sits inside F2.
+    Z = B.center()
+    comp = _complement_reps(f2b, [[x.v for x in b] for b in Z.basis], Z.pivots, field)
     m = len(gens_a)
+    # p^m graded candidates per generator, p^k corrections and the rank
+    # profile's p^s functionals: give up before any of them outgrows the budget
+    if p ** max(m, len(comp), *(g.dim for g in grades_a)) > cfg.max_nodes:
+        return IsoOutcome("budget", None, 0)
+    if _rank_profile(A, series_a, grades_a) != _rank_profile(B, series_b, grades_b):
+        return IsoOutcome("non_iso", None, 0)
 
-    vectors, exprs, needs = _adapted_basis(fa, gens_a)
+    vectors, exprs, needs = _adapted_basis(A, gens_a)
     weights = []
     for e in exprs:
         weights.append(1 if e[0] == "gen" else weights[e[1]] + weights[e[2]])
@@ -380,50 +281,38 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             if w > max_w:
                 u = None  # bracket must vanish identically
             else:
-                u = grades_a[w - 2].coord_of(fa.bracket(vectors[i], vectors[j]))
+                u = grades_a[w - 2].coord_of(A._bracket_raw(vectors[i], vectors[j]))
                 if u is None:
                     raise InternalInvariantViolated("graded coordinates failed")
             pairs_by_weight.setdefault(min(w, max_w + 1), []).append(
                 (i, j, max(needs[i], needs[j]), u)
             )
+    # a graded isomorphism keeps the rank of A's pair rows in each weight
+    u_rank = {
+        w: len(_rref(field, [u for *_, u in rows])[1])
+        for w, rows in pairs_by_weight.items()
+        if w <= max_w
+    }
 
     basis_mat = [[vectors[k][i] for k in range(n)] for i in range(n)]
+    basis_inv = Matrix.from_rows(field, basis_mat).invert()
     expand = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = fa.bracket(vectors[i], vectors[j])
-            sol = _solve_int(basis_mat, list(w), p)
-            if sol is None:
-                raise InternalInvariantViolated("adapted vectors are not a basis")
-            expand[(i, j)] = tuple(sol)
+            sol = solve_raw(field, basis_mat, A._bracket_raw(vectors[i], vectors[j]), n)
+            expand[(i, j)] = tuple((k, c) for k, c in enumerate(sol) if c)
     pair_req = {
-        (i, j): max(
-            needs[i],
-            needs[j],
-            max((needs[k] for k, c in enumerate(cf) if c), default=0),
-        )
-        for (i, j), cf in expand.items()
+        (i, j): max(needs[i], needs[j], max((needs[k] for k, _ in terms), default=0))
+        for (i, j), terms in expand.items()
     }
 
-    # generator corrections live in F2; shifts by central elements change
-    # neither bracket consistency nor (given graded bijectivity)
-    # invertibility, so coset representatives modulo the centre suffice.
-    # After splitting off central components the centre sits inside F2.
-    z_rows, z_piv = _rref_int(
-        [[x.v for x in b] for b in B.center().basis], p
-    )
-    comp = _complement_reps(f2b, z_rows, z_piv, p)
     f2b_elems = _span_elements(comp, p, n)
     nodes = 0
     budget = cfg.max_nodes
     witness: list[LinearMap] = []
 
     def lift_of(col):
-        v = [0] * n
-        for k, c in enumerate(col):
-            if c:
-                v = [(x + c * y) % p for x, y in zip(v, reps_b[k])]
-        return tuple(v)
+        return tuple(_combo(p, n, zip(col, reps_b)))
 
     def word_image(k, gen_imgs, cache):
         if k in cache:
@@ -432,7 +321,7 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
         if e[0] == "gen":
             out = gen_imgs[e[1]]
         else:
-            out = fb.bracket(
+            out = B._bracket_raw(
                 word_image(e[1], gen_imgs, cache), word_image(e[2], gen_imgs, cache)
             )
         cache[k] = out
@@ -441,60 +330,41 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
     def graded_ok(t, lifts, final=False):
         cache = {}
         for w, rows in pairs_by_weight.items():
-            if w > max_w:
-                for (i, j, need, _) in rows:
-                    if need > t:
-                        continue
-                    img = fb.bracket(
-                        word_image(i, lifts, cache), word_image(j, lifts, cache)
-                    )
-                    if any(img):
-                        return False
-                continue
-            gb = grades_b[w - 2]
-            if gb.dim != grades_a[w - 2].dim:
-                return False
+            gb = grades_b[w - 2] if w <= max_w else None
             urows, vrows = [], []
             for (i, j, need, u) in rows:
                 if need > t:
                     continue
-                img = fb.bracket(
+                img = B._bracket_raw(
                     word_image(i, lifts, cache), word_image(j, lifts, cache)
                 )
+                if gb is None:
+                    if any(img):
+                        return False
+                    continue
                 vc = gb.coord_of(img)
                 if vc is None:
                     return False
-                urows.append(list(u))
-                vrows.append(list(vc))
+                urows.append(u)
+                vrows.append(vc)
             if not urows or gb.dim == 0:
                 continue
-            U = [list(u) for u in urows]
             for c in range(gb.dim):
-                if _solve_int(U, [v[c] for v in vrows], p) is None:
+                if solve_raw(field, urows, [v[c] for v in vrows], gb.dim) is None:
                     return False
-            if final:
-                rr, _ = _rref_int(vrows, p)
-                if len(rr) != gb.dim:
-                    return False
+            if final and len(_rref(field, vrows)[1]) != u_rank[w]:
+                return False
         return True
 
     def try_full(gen_imgs):
         cache = {}
         imgs = [word_image(k, gen_imgs, cache) for k in range(n)]
-        for (i, j), coeffs in expand.items():
-            lhs = fb.bracket(imgs[i], imgs[j])
-            rhs = [0] * n
-            for k, c in enumerate(coeffs):
-                if c:
-                    rhs = [(x + c * y) % p for x, y in zip(rhs, imgs[k])]
-            if list(lhs) != rhs:
+        for (i, j), terms in expand.items():
+            rhs = _combo(p, n, ((c, imgs[k]) for k, c in terms))
+            if B._bracket_raw(imgs[i], imgs[j]) != rhs:
                 return None
-        T = [[imgs[k][i] for k in range(n)] for i in range(n)]
-        rr, _ = _rref_int(T, p)
-        if len(rr) != n:
-            return None
-        M = _matmul_int(T, _invert_int(basis_mat, p), p)
-        lin = LinearMap(A, B, Matrix.from_rows(A.field, M))
+        T = Matrix.from_rows(field, [[imgs[k][i] for k in range(n)] for i in range(n)])
+        lin = LinearMap(A, B, T * basis_inv)
         if not lin.is_isomorphism():
             return None
         lin.verified = True
@@ -518,15 +388,11 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             for (i, j), req in pair_req.items():
                 if req != t:
                     continue
-                lhs = fb.bracket(
+                lhs = B._bracket_raw(
                     word_image(i, gen_imgs, cache), word_image(j, gen_imgs, cache)
                 )
-                rhs = [0] * n
-                for k, c in enumerate(expand[(i, j)]):
-                    if c:
-                        wv = word_image(k, gen_imgs, cache)
-                        rhs = [(x + c * y) % p for x, y in zip(rhs, wv)]
-                if list(lhs) != rhs:
+                terms = expand[(i, j)]
+                if lhs != _combo(p, n, ((c, word_image(k, gen_imgs, cache)) for k, c in terms)):
                     ok = False
                     break
             if ok and search_lift(t + 1, gen_imgs, lifts):
@@ -534,12 +400,15 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             gen_imgs.pop()
         return False
 
-    # standard basis vectors first: when the tables coincide the identity
-    # map is then the first assignment the search completes
     unit = [tuple(1 if k == t else 0 for k in range(m)) for t in range(m)]
-    cand = unit + [
-        v for v in product(range(p), repeat=m) if any(v) and v not in set(unit)
-    ]
+
+    def candidates():
+        # standard basis vectors first: when the tables coincide the identity
+        # map is then the first assignment the search completes
+        yield from unit
+        for v in product(range(p), repeat=m):
+            if any(v) and v not in unit:
+                yield v
 
     def search_psi(t, cols, chosen_basis, chosen_piv):
         nonlocal nodes
@@ -548,16 +417,16 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             if not graded_ok(m - 1, lifts, final=True):
                 return False
             return search_lift(0, [], lifts)
-        for v in cand:
+        for v in candidates():
             nodes += 1
             if nodes > budget:
                 raise _Budget()
-            if _in_span(v, chosen_basis, chosen_piv, p):
+            if _in_span(v, chosen_basis, chosen_piv, field):
                 continue
-            lifts = [lift_of(c) for c in cols] + [lift_of(v)]
+            lifts = [lift_of(c) for c in cols + [v]]
             if not graded_ok(t, lifts):
                 continue
-            nb, npiv = _rref_int(list(chosen_basis) + [list(v)], p)
+            nb, npiv = _rref(field, chosen_basis + [v])
             if search_psi(t + 1, cols + [v], nb, npiv):
                 return True
         return False

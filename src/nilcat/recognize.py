@@ -315,20 +315,19 @@ class NormEngine:
         return cid
 
 
-# Direct sums: (core id key, abelian dimension) -> catalog key.
-_SUM_LOOKUP = {
-    ((3, 2), 1): (4, 2),
-    ((3, 2), 2): (5, 2),
-    ((3, 2), 3): (6, 2),
-    ((4, 3), 1): (5, 3),
-    ((4, 3), 2): (6, 3),
-    ((5, 4), 1): (6, 4),
-    ((5, 5), 1): (6, 5),
-    ((5, 6), 1): (6, 6),
-    ((5, 7), 1): (6, 7),
-    ((5, 8), 1): (6, 8),
-    ((5, 9), 1): (6, 9),
-}
+def _sum_lookup() -> dict:
+    """(core id key, abelian dimension) -> catalog key of every direct sum,
+    by following catalog._SUM_OF down to the core."""
+    out = {}
+    for key in catalog._SUM_OF:
+        core, d = key, 0
+        while core in catalog._SUM_OF:
+            core, d = catalog._SUM_OF[core], d + 1
+        out[(core, d)] = key
+    return out
+
+
+_SUM_LOOKUP = _sum_lookup()
 
 
 def transport(theta: SkewForm, N: LieAlgebra, tau_inv: Matrix) -> SkewForm:

@@ -6,13 +6,18 @@ Matrix.rref/__mul__/matvec, written on FieldElem arithmetic and the public
 bracket_basis table.  Random tables over GF(3), GF(7) and Q (most of them
 violating Jacobi) and random matrices must give the same values, pivots,
 violating triple and defect, and every Q entry must still be a Fraction.
+Matrix.solve and Matrix.invert, which the isomorphism oracle shares, are
+checked against the reference rref and product: M x = b exactly when the
+system is consistent, and M M^-1 = M^-1 M = I.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcat.catalog import ids_over, instantiate
+from nilcat.errors import Singular
 from nilcat.field import prime_field, rationals
 from nilcat.liealg import LieAlgebra, LinearMap
 from nilcat.linalg import Matrix
@@ -268,3 +273,49 @@ def test_mul_and_matvec_match_reference(pair):
         col = B.col(j)
         assert A.matvec(col) == ref_matvec(A, col)
         assert_fractions(A.field, A.matvec(col))
+
+
+@st.composite
+def systems(draw):
+    """(M, b); half the time b = M x for a drawn x, so the system is consistent."""
+    M = draw(matrices())
+    field = M.field
+
+    def vec(k):
+        return tuple(map(field.el, draw(st.lists(scalars(field), min_size=k, max_size=k))))
+
+    b = ref_matvec(M, vec(M.cols)) if draw(st.booleans()) else vec(M.rows)
+    return M, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solve_matches_reference(case):
+    M, b = case
+    x = M.solve(b)
+    aug = Matrix(M.field, [row + [y] for row, y in zip(M.data, b)], cols=M.cols + 1)
+    if ref_rref(aug)[2] > ref_rref(M)[2]:
+        assert x is None
+    else:
+        assert x is not None and ref_matvec(M, x) == tuple(b)
+        assert_fractions(M.field, x)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(matrices(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_invert_matches_reference(M):
+    n = M.rows
+    if ref_rref(M)[2] < n:
+        with pytest.raises(Singular):
+            M.invert()
+        return
+    Minv = M.invert()
+    ident = Matrix.identity(M.field, n).data
+    assert ref_mul(M, Minv) == ident and ref_mul(Minv, M) == ident
+    assert_fractions(M.field, [x for row in Minv.data for x in row])

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -41,9 +42,17 @@ def test_iso_search_finds_identity():
 
 def test_iso_search_on_basis_change():
     A = instantiate(CatalogId(F3, 6, 14))
-    for P, K in fuzz_basis_change(A, 3, seed=21):
-        out = iso_search(A, K)
-        assert out.status == "iso" and out.iso.verified
+    cases = [(A, K) for _, K in fuzz_basis_change(A, 3, seed=21)]
+    # A's adapted pair brackets need not span a grade of A: these gave
+    # non_iso with the basis change as the first argument
+    for idx in (11, 12, 13):
+        A = instantiate(CatalogId(F3, 6, idx))
+        cases.append((A, next(fuzz_basis_change(A, 1, seed=0))[1]))
+    for A, K in cases:
+        for X, Y in ((A, K), (K, A)):
+            out = iso_search(X, Y)
+            assert out.status == "iso" and out.iso.verified
+            assert out.iso.domain is X and out.iso.codomain is Y
 
 
 def test_l617_l618_not_isomorphic():
@@ -63,6 +72,18 @@ def test_budget_is_a_result():
         raw_table(F3, 6, 17), raw_table(F3, 6, 18), IsoSearchConfig(max_nodes=10)
     )
     assert out.status == "budget" and out.iso is None
+
+
+def test_budget_bounds_the_enumerations():
+    # over a large field the graded maps alone outnumber the default
+    # budget: the search must give up before enumerating any of them
+    F = prime_field(1000003)
+    A = instantiate(CatalogId(F, 6, 14))
+    K = next(fuzz_basis_change(A, 1, seed=3))[1]
+    t0 = time.perf_counter()
+    out = iso_search(A, K)
+    assert out.status == "budget" and out.iso is None and out.nodes == 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_config_validation_and_rationals_rejected():
