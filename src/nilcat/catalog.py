@@ -314,18 +314,16 @@ def count(field: FieldCtx, dim: int):
     return 26 + 4 * 2
 
 
-def scaling_iso(field: FieldCtx, dim: int, idx: int, eps_from, eps_to) -> LinearMap:
-    """Verified isomorphism raw_table(eps_from) -> raw_table(eps_to) for a
+def scaling_matrix(field: FieldCtx, dim: int, idx: int, eps_from, eps_to) -> Matrix:
+    """The diagonal map raw_table(eps_from) -> raw_table(eps_to) of a
     parametric family; the parameters must lie in one square class."""
     if (dim, idx) not in PARAMETRIC:
         raise BadId(f"L{dim},{idx} is not parametric")
     a, b = field.el(eps_from), field.el(eps_to)
-    src = raw_table(field, dim, idx, a)
-    dst = raw_table(field, dim, idx, b)
     if a.is_zero or b.is_zero:
         if a != b:
             raise ZeroArgument("0 is only equivalent to 0")
-        return LinearMap(src, dst, Matrix.identity(field, dim)).verify()
+        return Matrix.identity(field, dim)
     exps, move = _SCALINGS[(dim, idx)]
     ratio = a / b if move == -2 else b / a
     alpha = sqrt(ratio)
@@ -333,4 +331,13 @@ def scaling_iso(field: FieldCtx, dim: int, idx: int, eps_from, eps_to) -> Linear
     M = Matrix.zeros(field, dim, dim)
     for i in range(dim):
         M.data[i][i] = diag[i]
+    return M
+
+
+def scaling_iso(field: FieldCtx, dim: int, idx: int, eps_from, eps_to) -> LinearMap:
+    """Verified isomorphism raw_table(eps_from) -> raw_table(eps_to) for a
+    parametric family; the parameters must lie in one square class."""
+    M = scaling_matrix(field, dim, idx, eps_from, eps_to)
+    src = raw_table(field, dim, idx, field.el(eps_from))
+    dst = raw_table(field, dim, idx, field.el(eps_to))
     return LinearMap(src, dst, M).verify()

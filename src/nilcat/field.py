@@ -71,7 +71,10 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: multiplicity}."""
+    """Prime factorization of n >= 1 as {prime: multiplicity}.
+
+    Raises NotAPrime when a cofactor at or above PRIME_BOUND passes
+    is_prime, which is only a probable-prime test there."""
     if n < 1:
         raise ZeroArgument("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -100,6 +103,8 @@ def factorize(n: int) -> dict[int, int]:
                 stack.extend((r, r))
                 continue
             if is_prime(m):
+                if m >= PRIME_BOUND:
+                    raise NotAPrime(f"cofactor {m} is not below {PRIME_BOUND}, where primality is certified")
                 out[m] = out.get(m, 0) + 1
                 continue
             d = _pollard_rho(m)

@@ -298,9 +298,5 @@ class Matrix:
         return Matrix(self.field, out)
 
 
-def zero_vec(field: FieldCtx, n: int):
-    return (field.zero(),) * n
-
-
 def is_zero_vec(a) -> bool:
     return all(not x.v for x in a)

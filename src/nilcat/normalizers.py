@@ -2,7 +2,7 @@
 
 Each function takes a NormEngine holding the transported cocycles on a
 catalog quotient and drives them to the defining cocycles of exactly one
-catalog entry, emitting verified elementary steps along the way.  The
+catalog entry, emitting elementary steps along the way.  The
 branch structure mirrors the orbit analyses of the automorphism groups on
 the cocycle representatives; every "choose a parameter so that ..." is
 resolved to a closed formula here.
@@ -108,7 +108,7 @@ def _c_3_1_s2(eng):
     if not b.v:
         eng.require(c.v, "forms are dependent")
         P = Matrix.from_rows(eng.field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        eng.aut_matrix(P, note="swap the first two basis vectors")
+        eng.aut(P, "swap the first two basis vectors")
         eng.center([[-1, 0], [0, 1]], "restore the leading form's sign")
         z, b, c = eng.c(1)
     eng.require(z.is_zero and b.v, "reduction drifted")
@@ -443,20 +443,20 @@ def _c_4_1_s2(eng):
                 eng.field,
                 [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
             )
-            eng.aut_matrix(P, note="swap the two hyperbolic planes' first vectors")
+            eng.aut(P, "swap the two hyperbolic planes' first vectors")
             eng.center([[-1, 0], [0, 1]], "restore the leading form's sign")
         elif b.v:
             P = Matrix.from_rows(
                 eng.field,
                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
             )
-            eng.aut_matrix(P, note="rotate the second hyperbolic plane")
+            eng.aut(P, "rotate the second hyperbolic plane")
         elif c.v:
             P = Matrix.from_rows(
                 eng.field,
                 [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
             )
-            eng.aut_matrix(P, note="rotate the first hyperbolic plane")
+            eng.aut(P, "rotate the first hyperbolic plane")
         else:
             eng.require(e.v, "forms are dependent")
             if e != one:

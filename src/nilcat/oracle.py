@@ -231,10 +231,10 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
     # give abelian summands of equal dimension and equal series dimensions.
     core_a, da, split_a = A.strip_central_component()
     core_b, _, split_b = B.strip_central_component()
+    if core_a.dim == 0:
+        ident = LinearMap(A, B, Matrix.identity(A.field, A.dim))
+        return IsoOutcome("iso", ident.verify(), 0)
     if da > 0:
-        if core_a.dim == 0:
-            ident = LinearMap(A, B, Matrix.identity(A.field, A.dim))
-            return IsoOutcome("iso", ident.verify(), 0)
         sub = iso_search(core_a, core_b, cfg)
         if sub.status != "iso":
             return sub

@@ -5,9 +5,11 @@ The driver peels off central components, factors the remainder as a
 central extension of its quotient by the centre, recognizes the quotient
 recursively, transports the cocycles onto the catalog quotient, and then
 hands over to a per-quotient normalizer (see normalizers.py) that replays
-the orbit analysis with exact arithmetic.  Every intermediate map is a
-concrete matrix; the composition is verified as an isomorphism before it
-is returned.
+the orbit analysis with exact arithmetic.  Every normalizer step is one
+Skjelbred-Sund move (phi, A, B) built by cohomology.lift_matrix, or an
+explicit relabelling.  No intermediate step is checked on its own: the
+composed map is verified exactly once, as an isomorphism onto the catalog
+table, before recognize returns it, and a broken step fails that check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .cohomology import (
     SkewForm,
     central_extension,
     compute_spaces,
+    extension_forms,
     factor_by_center,
+    lift_matrix,
     pairs,
     recover_functional,
 )
@@ -94,7 +98,7 @@ class NormalizationStep:
 @dataclass
 class RecognitionResult:
     id: catalog.CatalogId
-    iso: LinearMap  # verified isomorphism onto instantiate(id)
+    iso: LinearMap  # isomorphism onto instantiate(id), verified by recognize
     trace: list = dc_field(default_factory=list)
 
 
@@ -114,8 +118,7 @@ class NormEngine:
         self.template = template_for(self.field, *qkey)
         self.reps = [SkewForm.from_dict(N, d) for d in rep_dicts]
         coh = compute_spaces(N)
-        self.b2 = coh.b2
-        cols = [list(r.coeffs) for r in self.reps] + [list(b.coeffs) for b in self.b2]
+        cols = [list(r.coeffs) for r in self.reps] + [list(b.coeffs) for b in coh.b2]
         self.dec = Matrix(
             self.field,
             [[cols[c][r] for c in range(len(cols))] for r in range(len(pairs(self.n)))],
@@ -124,7 +127,7 @@ class NormEngine:
             raise InternalInvariantViolated(
                 f"representative basis for {qkey} does not complement B2"
             )
-        self.b2_funcs = [recover_functional(N, b) for b in self.b2]
+        self.b2_funcs = [recover_functional(N, b) for b in coh.b2]
         self.relabelled = None  # set once a Relabel leaves the extension picture
         self._cob_reduce("transported cocycles reduced modulo coboundaries")
 
@@ -154,76 +157,50 @@ class NormEngine:
         self.require(all(not x.v for x in cob), "unreduced coboundary part")
         return rep
 
-    def _cob_reduce(self, note: str):
-        coords = []
-        clean = True
-        for e in self.etas:
-            rep, cob = self._decompose(e)
-            coords.append((rep, cob))
-            if any(x.v for x in cob):
-                clean = False
-        if clean:
-            return
-        field = self.field
-        nus = []
-        new_etas = []
-        for (rep, cob), e in zip(coords, self.etas):
-            nu = [field.zero()] * self.n
-            for cm, f in zip(cob, self.b2_funcs):
-                if cm.v:
-                    for i in range(self.n):
-                        nu[i] = nu[i] - cm * f[i]
-            nus.append(nu)
-            red = e
-            for cm, b in zip(cob, self.b2):
-                if cm.v:
-                    red = red - b.scale(cm)
-            new_etas.append(red)
-        M = Matrix.identity(field, self.n + self.s)
-        for l in range(self.s):
-            for i in range(self.n):
-                M.data[self.n + l][i] = nus[l][i]
-        self.etas = new_etas
+    def _move(self, kind: str, data, note: str, pull=None, A=None, B=None):
+        """One Skjelbred-Sund move (phi, A, B) with phi the inverse of pull
+        (1 when pull is None), A and B defaulting to 1 and 0: the cocycles
+        become extension_forms pulled back through pull, and lift_matrix
+        joins the accumulated isomorphism.  data None records the lift."""
+        field, n, s = self.field, self.n, self.s
+        A = Matrix.identity(field, s) if A is None else A
+        B = Matrix.zeros(field, n, s) if B is None else B
+        forms = extension_forms(self.N, self.etas, A, B)
+        self.etas = forms if pull is None else [f.pullback(pull) for f in forms]
+        phi = Matrix.identity(field, n) if pull is None else pull.invert()
+        M = lift_matrix(phi, A, B)
         self.total = M * self.total
-        self.steps.append(NormalizationStep("CoboundaryShift", M, note, M))
+        self.steps.append(NormalizationStep(kind, M if data is None else data, note, M))
+
+    def _cob_reduce(self, note: str):
+        """Shift every cocycle by a coboundary onto the representative span."""
+        cobs = [self._decompose(e)[1] for e in self.etas]
+        if all(not x.v for cob in cobs for x in cob):
+            return
+        zero = self.field.zero()
+        # B[i][l] = nu_l(x_i), nu_l = -sum_m cob_l[m] f_m with f_m o [., .] = b2[m]
+        B = Matrix(self.field, [
+            [sum((-cm * f[i] for cm, f in zip(cob, self.b2_funcs) if cm.v), zero)
+             for cob in cobs]
+            for i in range(self.n)
+        ])
+        self._move("CoboundaryShift", None, note, B=B)
 
     # -- elementary moves --------------------------------------------------
 
-    def aut(self, params: dict, note: str = ""):
-        """Pull the cocycles back through a template automorphism."""
-        phi = self.template(params)
-        self.etas = [e.pullback(phi) for e in self.etas]
-        M = phi.invert().block_diag(Matrix.identity(self.field, self.s))
-        self.total = M * self.total
-        self.steps.append(NormalizationStep("AutApply", phi, note, M))
+    def aut(self, phi, note: str = "", kind: str = "AutApply"):
+        """Pull the cocycles back through an automorphism of N: template
+        parameters, or a matrix (used on the abelian L3_1 and L4_1, where
+        every invertible matrix is one and no coboundary cleanup arises)."""
+        if not isinstance(phi, Matrix):
+            phi = self.template(phi)
+        self._move(kind, phi, note, pull=phi)
         self._cob_reduce("coboundary cleanup after automorphism")
-
-    def aut_matrix(self, P: Matrix, kind: str = "AutApply", note: str = ""):
-        """Like aut() but with an explicit matrix (abelian quotients)."""
-        if not LinearMap(self.N, self.N, P).is_isomorphism():
-            raise InternalInvariantViolated("basis change is not an automorphism")
-        self.etas = [e.pullback(P) for e in self.etas]
-        M = P.invert().block_diag(Matrix.identity(self.field, self.s))
-        self.total = M * self.total
-        self.steps.append(NormalizationStep(kind, P, note, M))
-        self._cob_reduce("coboundary cleanup after basis change")
 
     def center(self, rows, note: str = ""):
         """Replace the cocycle tuple by A * etas (A invertible s x s)."""
         A = Matrix.from_rows(self.field, rows)
-        if not A.is_invertible():
-            raise InternalInvariantViolated("centre base change is singular")
-        new = []
-        for l in range(self.s):
-            acc = SkewForm.zero(self.N)
-            for k in range(self.s):
-                if A.data[l][k].v:
-                    acc = acc + self.etas[k].scale(A.data[l][k])
-            new.append(acc)
-        self.etas = new
-        M = Matrix.identity(self.field, self.n).block_diag(A)
-        self.total = M * self.total
-        self.steps.append(NormalizationStep("CenterBaseChange", A, note, M))
+        self._move("CenterBaseChange", A, note, A=A)
 
     def scale_eta(self, l: int, cval, note: str = ""):
         c = self.field.el(cval)
@@ -254,23 +231,18 @@ class NormEngine:
 
     def skew_canonical(self, i: int, note: str = "") -> int:
         P, r = skew_normal_form(self.etas[i])
-        self.aut_matrix(P, kind="SkewCanonical", note=note or "hyperbolic normal form")
+        self.aut(P, note or "hyperbolic normal form", kind="SkewCanonical")
         return r
 
     def relabel(self, cols, target: LieAlgebra, note: str = "", kind: str = "Relabel"):
-        """Apply a fixed isomorphism current -> target given by columns."""
-        src = self.current_algebra()
+        """Apply a fixed isomorphism current -> target given by columns; like
+        every step, it is checked only as part of the final composed map."""
         field = self.field
-        n = src.dim
-        M = Matrix.zeros(field, n, n)
+        M = Matrix.zeros(field, self.n + self.s, self.n + self.s)
         for j, col in enumerate(cols):
             for i, val in col.items():
                 M.data[i - 1][j] = field.el(val)
-        try:
-            step = LinearMap(src, target, M).verify()
-        except Exception as exc:
-            raise InternalInvariantViolated(f"relabelling failed: {note}") from exc
-        self.total = step.matrix * self.total
+        self.total = M * self.total
         self.relabelled = target
         self.steps.append(NormalizationStep(kind, M, note, M))
 
@@ -301,16 +273,10 @@ class NormEngine:
         )
         cid = catalog.CatalogId(self.field, dim, idx, eps)
         if cid.param != eps:
-            step = catalog.scaling_iso(self.field, dim, idx, eps, cid.param)
-            self.total = step.matrix * self.total
-            self.steps.append(
-                NormalizationStep(
-                    "ScaleParam",
-                    step.matrix,
-                    f"parameter {eps} moved to class representative {cid.param}",
-                    step.matrix,
-                )
-            )
+            M = catalog.scaling_matrix(self.field, dim, idx, eps, cid.param)
+            self.total = M * self.total
+            note = f"parameter {eps} moved to class representative {cid.param}"
+            self.steps.append(NormalizationStep("ScaleParam", M, note, M))
         self.relabelled = catalog.instantiate(cid)
         return cid
 
@@ -345,10 +311,13 @@ def recognize(K: LieAlgebra) -> RecognitionResult:
         raise NotALieAlgebra(str(bad))
     if not K.is_nilpotent:
         raise NotNilpotent("input algebra is not nilpotent")
-    return _recognize_checked(K)
+    res = _recognize_checked(K)
+    res.iso.verify()  # the certificate: the only check of any step
+    return res
 
 
 def _recognize_checked(K: LieAlgebra) -> RecognitionResult:
+    """Recognition of a valid nilpotent K; the returned map is unverified."""
     from .normalizers import DISPATCH  # deferred: normalizers import this module
 
     field = K.field
@@ -357,7 +326,7 @@ def _recognize_checked(K: LieAlgebra) -> RecognitionResult:
     if K.is_abelian:
         cid = catalog.CatalogId(field, n, 1)
         iso = LinearMap(K, catalog.instantiate(cid), Matrix.identity(field, n))
-        return RecognitionResult(cid, iso.verify(), [])
+        return RecognitionResult(cid, iso, [])
 
     core, d, split = K.strip_central_component()
     if d > 0:
@@ -373,7 +342,7 @@ def _recognize_checked(K: LieAlgebra) -> RecognitionResult:
         if target != expected:
             raise InternalInvariantViolated("direct sum table mismatch")
         M = sub.iso.matrix.block_diag(Matrix.identity(field, d)) * split.matrix
-        iso = LinearMap(K, target, M).verify()
+        iso = LinearMap(K, target, M)
         trace = [
             NormalizationStep(
                 "QuotientRecognize",
@@ -403,7 +372,7 @@ def _recognize_checked(K: LieAlgebra) -> RecognitionResult:
     cid = case(eng)
 
     total = eng.total * tau_hat * phi.matrix
-    iso = LinearMap(K, catalog.instantiate(cid), total).verify()
+    iso = LinearMap(K, catalog.instantiate(cid), total)
     trace = [
         NormalizationStep(
             "QuotientRecognize",

@@ -144,6 +144,13 @@ def test_isotest(tmp_path, capsys):
     assert code == 0 and out.strip() == "BUDGET"
 
 
+def test_isotest_dimension_zero(tmp_path, capsys):
+    z = tmp_path / "z.alg"
+    z.write_text("field GF(3)\ndim 0\n")
+    code, out, _ = run_cli(capsys, "isotest", str(z), str(z))
+    assert code == 0 and out.splitlines()[0] == "ISO"
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     f = tmp_path / "nope.alg"
     f.write_text("field GF(2)\ndim 2\n")

@@ -129,7 +129,7 @@ def test_quotient_then_extension_recovers_table():
     for key in [(5, 4), (5, 9), (6, 16)]:
         K = raw_table(Q, *key)
         Qt, thetas, phi = factor_by_center(K)
-        assert phi.verified
+        phi.verify()
         ext, _ = central_extension(Qt, thetas)
         assert phi.codomain == ext
 
@@ -218,6 +218,22 @@ def test_assemble_iso_and_eq1_rejection():
     # corrupt the centre matrix: the compatibility equation must fail
     with pytest.raises(Eq1Violated):
         assemble_iso(L32, [th], [eta], Matrix.identity(Q, 3), Matrix.from_rows(Q, [[3]]), B)
+
+
+def test_assemble_iso_non_symmetric_centre_change():
+    # e_k -> sum_l A[l][k] e_l: with A = [[1, 1], [0, 1]] the map sends e_2
+    # to e_1 + e_2, so eta_1 = theta_1 + theta_2 and eta_2 = theta_2
+    L31 = LieAlgebra.abelian(Q, 3)
+    thetas = [sk(L31, {(1, 2): 1}), sk(L31, {(1, 3): 1})]
+    etas = [sk(L31, {(1, 2): 1, (1, 3): 1}), sk(L31, {(1, 3): 1})]
+    A = Matrix.from_rows(Q, [[1, 1], [0, 1]])
+    iso = assemble_iso(L31, thetas, etas, Matrix.identity(Q, 3), A, Matrix.zeros(Q, 3, 2))
+    assert iso.verified
+    assert iso.matrix.data[3][4] == Q.el(1) and not iso.matrix.data[4][3].v
+    # the transposed datum is not compatible
+    transposed = [sk(L31, {(1, 2): 1}), sk(L31, {(1, 2): 1, (1, 3): 1})]
+    with pytest.raises(Eq1Violated):
+        assemble_iso(L31, thetas, transposed, Matrix.identity(Q, 3), A, Matrix.zeros(Q, 3, 2))
 
 
 def test_joint_radical_intersection():

@@ -8,6 +8,7 @@ from nilcat.errors import (
     Char2Field,
     DivisionByZero,
     MixedFields,
+    NilcatError,
     NotAPrime,
     ZeroArgument,
 )
@@ -197,6 +198,14 @@ def test_strong_pseudoprime_psi12_is_composite():
     assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
     with pytest.raises(NotAPrime):
         prime_field(psi12)
+
+
+def test_factorize_refuses_uncertified_cofactor():
+    # psi13 = 1287836182261 * 2575672364521 passes every base of is_prime
+    with pytest.raises(NilcatError, match=str(PRIME_BOUND)):
+        factorize(PRIME_BOUND)
+    with pytest.raises(NilcatError):
+        square_class_rep(Q.el(PRIME_BOUND))
 
 
 def test_prime_field_refuses_p_beyond_certified_bound():

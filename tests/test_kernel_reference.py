@@ -8,7 +8,9 @@ violating Jacobi) and random matrices must give the same values, pivots,
 violating triple and defect, and every Q entry must still be a Fraction.
 Matrix.solve and Matrix.invert, which the isomorphism oracle shares, are
 checked against the reference rref and product: M x = b exactly when the
-system is consistent, and M M^-1 = M^-1 M = I.
+system is consistent, and M M^-1 = M^-1 M = I.  SkewForm.is_cocycle, one
+product against the cached cocycle equations, is checked against the
+former triple loop of form evaluations on random forms and cocycles.
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcat.catalog import ids_over, instantiate
+from nilcat.cohomology import SkewForm, compute_spaces, pairs
 from nilcat.errors import Singular
 from nilcat.field import prime_field, rationals
 from nilcat.liealg import LieAlgebra, LinearMap
@@ -137,6 +140,22 @@ def ref_lcs(L):
             break
         cur = nxt
     return series
+
+
+def ref_is_cocycle(theta):
+    L = theta.base
+    n, F = L.dim, L.field
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = (
+                    theta.eval(L.bracket_basis(i, j), basis_vec(F, n, k))
+                    + theta.eval(L.bracket_basis(k, i), basis_vec(F, n, j))
+                    + theta.eval(L.bracket_basis(j, k), basis_vec(F, n, i))
+                )
+                if s.v:
+                    return False
+    return True
 
 
 # -- strategies ---------------------------------------------------------------
@@ -319,3 +338,23 @@ def test_invert_matches_reference(M):
     ident = Matrix.identity(M.field, n).data
     assert ref_mul(M, Minv) == ident and ref_mul(Minv, M) == ident
     assert_fractions(M.field, [x for row in Minv.data for x in row])
+
+
+@st.composite
+def skew_forms(draw):
+    """Random forms, or random combinations of the cocycle basis."""
+    L = draw(algebras)
+    F, m = L.field, len(pairs(L.dim))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(scalars(F), min_size=m, max_size=m))
+        return SkewForm(L, [F.el(x) for x in coeffs])
+    theta = SkewForm.zero(L)
+    for z in compute_spaces(L).z2:
+        theta = theta + z.scale(F.el(draw(scalars(F))))
+    return theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_forms())
+def test_is_cocycle_matches_reference(theta):
+    assert theta.is_cocycle() == ref_is_cocycle(theta)

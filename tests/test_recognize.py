@@ -4,7 +4,7 @@ from nilcat.catalog import CatalogId, ids_over, instantiate, raw_table, same_id,
 from nilcat.cohomology import SkewForm
 from nilcat.errors import DimTooLarge, NotALieAlgebra, NotAnAutomorphism, NotNilpotent
 from nilcat.field import prime_field, rationals
-from nilcat.liealg import LieAlgebra
+from nilcat.liealg import LieAlgebra, LinearMap
 from nilcat.linalg import Matrix
 from nilcat.oracle import fuzz_basis_change, invariant_vector
 from nilcat.autgroups import template_for
@@ -181,23 +181,32 @@ def test_aut_template_defaults_are_identity():
 
 
 def test_aut_template_random_params_verified():
+    # a template call checks only invertibility; every matrix it emits must
+    # still preserve the bracket
     import random
 
+    from nilcat.autgroups import _BUILDERS
+
     rng = random.Random(12)
-    for key in [(4, 2), (5, 5), (5, 6), (5, 7), (5, 8), (5, 9)]:
-        tpl = template_for(F5, *key)
-        for _ in range(10):
-            params = {}
-            for i in range(1, key[0] + 1):
-                for j in range(1, key[0] + 1):
-                    if rng.random() < 0.3:
-                        params[f"a{i}{j}"] = rng.randrange(5)
-            try:
-                M = tpl(params)
-            except NotAnAutomorphism:
-                continue
-            # emitted matrices are always genuine automorphisms
-            assert M.is_invertible()
+    emitted = 0
+    for field in (F5, F7, Q):
+        for key in _BUILDERS:
+            tpl = template_for(field, *key)
+            for _ in range(30):
+                params = {}
+                for i in range(1, key[0] + 1):
+                    for j in range(1, key[0] + 1):
+                        if rng.random() < 0.3:
+                            params[f"a{i}{j}"] = (rng.randint(-3, 3) if field.is_rationals
+                                                  else rng.randrange(field.p))
+                try:
+                    M = tpl(params)
+                except NotAnAutomorphism:
+                    continue
+                assert M.is_invertible()
+                assert LinearMap(tpl.algebra, tpl.algebra, M).is_isomorphism(), (key, params)
+                emitted += 1
+    assert emitted > 300
 
 
 def test_aut_template_l57_is_block_triangular():
@@ -289,3 +298,59 @@ def test_recognition_is_deterministic():
     assert r1.id == r2.id
     assert r1.iso.matrix == r2.iso.matrix
     assert [s.kind for s in r1.trace] == [s.kind for s in r2.trace]
+
+
+def _count_isomorphism_checks(monkeypatch):
+    calls = []
+    orig = LinearMap.is_isomorphism
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(LinearMap, "is_isomorphism", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (lambda: LieAlgebra.abelian(Q, 4), None),
+        (lambda: instantiate(CatalogId(Q, 3, 2)).direct_sum(LieAlgebra.abelian(Q, 3)),
+         "QuotientRecognize"),
+        (lambda: worked_example(F5), "CoboundaryShift"),
+        (lambda: raw_table(Q, 6, 24, -4), "ScaleParam"),
+    ],
+)
+def test_recognition_certifies_once(monkeypatch, make, kind):
+    # intermediate steps are not checked on their own: the one exact
+    # isomorphism check is the final one, on the returned map
+    K = make()
+    calls = _count_isomorphism_checks(monkeypatch)
+    r = recognize(K)
+    assert len(calls) == 1 and calls[0] is r.iso and r.iso.verified
+    assert kind is None or kind in [s.kind for s in r.trace]
+
+
+@pytest.mark.parametrize("step", ["relabel", "scale"])
+def test_corrupted_step_fails_the_certificate(monkeypatch, step):
+    from nilcat import catalog
+    from nilcat.recognize import NormEngine
+
+    if step == "relabel":
+        orig = NormEngine.relabel
+
+        def broken(self, cols, target, *args, **kwargs):
+            cols = [{i: 2 * v for i, v in cols[0].items()}] + list(cols[1:])
+            return orig(self, cols, target, *args, **kwargs)
+
+        monkeypatch.setattr(NormEngine, "relabel", broken)
+        ((_, K),) = fuzz_basis_change(instantiate(CatalogId(Q, 6, 13)), 1, seed=3)
+    else:
+        orig = catalog.scaling_matrix
+        monkeypatch.setattr(
+            catalog, "scaling_matrix", lambda *a: orig(*a).scale(Q.el(2))
+        )
+        K = raw_table(Q, 6, 24, -4)
+    with pytest.raises(NotAnAutomorphism):
+        recognize(K)
