@@ -4,9 +4,14 @@ zero characteristic.
 Every isomorphism class is a CatalogId: dimension, index, and for the four
 parametric six-dimensional families a square-class parameter.  Parameters
 are stored canonically (0, or the canonical square-class representative),
-so equality of ids is equality of classes.  Entries carry defining
-extension data: a quotient id plus cocycles whose central extension
-reproduces the catalog table verbatim.
+so equality of ids is equality of classes.
+
+The catalog is written down once, in the paper's Skjelbred-Sund terms:
+every entry that is neither abelian nor a direct sum is a quotient id
+plus cocycles, and its table is built, on first use, as the central
+extension of the quotient's table by those cocycles (basis x_1..x_n of
+the quotient, then one central generator per cocycle).  Direct sums add
+a 1-dimensional abelian ideal to a smaller entry.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .field import (
 )
 from .liealg import LieAlgebra, LinearMap
 from .linalg import Matrix
-from .cohomology import SkewForm
+from .cohomology import SkewForm, central_extension
 
 PARAMETRIC = {(6, 19), (6, 21), (6, 22), (6, 24)}
 
@@ -38,38 +43,9 @@ _SUM_OF = {
     **{(6, k): (5, k) for k in range(2, 10)},
 }
 
-# Bracket tables of the entries that are not direct sums and not abelian.
-# 1-based indices; 'e' marks the parametric coefficient.
-_TABLES = {
-    (3, 2): {(1, 2): {3: 1}},
-    (4, 3): {(1, 2): {3: 1}, (1, 3): {4: 1}},
-    (5, 4): {(1, 2): {5: 1}, (3, 4): {5: 1}},
-    (5, 5): {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}},
-    (5, 6): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
-    (5, 7): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}},
-    (5, 8): {(1, 2): {4: 1}, (1, 3): {5: 1}},
-    (5, 9): {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}},
-    (6, 10): {(1, 2): {3: 1}, (1, 3): {6: 1}, (4, 5): {6: 1}},
-    (6, 11): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {6: 1}, (2, 5): {6: 1}},
-    (6, 12): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
-    (6, 13): {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}, (1, 5): {6: 1}, (3, 4): {6: 1}},
-    (6, 14): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}, (2, 5): {6: 1}, (3, 4): {6: -1}},
-    (6, 15): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}, (1, 5): {6: 1}, (2, 4): {6: 1}},
-    (6, 16): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 5): {6: 1}, (3, 4): {6: -1}},
-    (6, 17): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}, (2, 3): {6: 1}},
-    (6, 18): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}},
-    (6, 19): {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {6: 1}, (3, 5): {6: "e"}},
-    (6, 20): {(1, 2): {4: 1}, (1, 3): {5: 1}, (1, 5): {6: 1}, (2, 4): {6: 1}},
-    (6, 21): {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}, (1, 4): {6: 1}, (2, 5): {6: "e"}},
-    (6, 22): {(1, 2): {5: 1}, (1, 3): {6: 1}, (2, 4): {6: "e"}, (3, 4): {5: 1}},
-    (6, 23): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 4): {5: 1}},
-    (6, 24): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: "e"}, (2, 3): {6: 1}, (2, 4): {5: 1}},
-    (6, 25): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}},
-    (6, 26): {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}},
-}
-
-# Defining extension data of the non-sum, non-abelian entries:
-# quotient id and cocycle coefficient dicts ('e' again parametric).
+# Defining extension data of the non-sum, non-abelian entries: quotient
+# id and cocycle coefficient dicts, 1-based, 'e' marking the parametric
+# coefficient.  No quotient is parametric.
 _DEF_EXT = {
     (3, 2): ((2, 1), [{(1, 2): 1}]),
     (4, 3): ((3, 2), [{(1, 3): 1}]),
@@ -204,25 +180,21 @@ def raw_table(field: FieldCtx, dim: int, idx: int, eps=None) -> LieAlgebra:
         cd, ck = _SUM_OF[(dim, idx)]
         alg = raw_table(field, cd, ck).direct_sum(LieAlgebra.abelian(field, 1))
     else:
-        spec = _TABLES[(dim, idx)]
-        brackets = {}
-        for pair, comps in spec.items():
-            row = {}
-            for k, c in comps.items():
-                row[k] = field.el(eps) if c == "e" else field.el(c)
-            brackets[pair] = row
-        alg = LieAlgebra.from_table(field, dim, brackets)
+        (qd, qk), cocs = defining_extension(field, dim, idx, eps)
+        quot = raw_table(field, qd, qk)
+        forms = [SkewForm.from_dict(quot, d) for d in cocs]
+        alg, _ = central_extension(quot, forms, check=False)
     _table_cache[key] = alg
     return alg
 
 
 def instantiate(cid: CatalogId) -> LieAlgebra:
-    eps = None if cid.param is None else cid.param
-    return raw_table(cid.field, cid.dim, cid.idx, eps)
+    return raw_table(cid.field, cid.dim, cid.idx, cid.param)
 
 
 def defining_extension(field: FieldCtx, dim: int, idx: int, eps=None):
-    """(quotient id key, cocycle dicts) whose extension is the raw table.
+    """(quotient id key, cocycle dicts) whose extension is the raw table;
+    None for dimension 1.
 
     Direct sums inherit their core's data with zero cocycles appended;
     abelian entries extend the previous abelian by a zero cocycle.
@@ -242,6 +214,15 @@ def defining_extension(field: FieldCtx, dim: int, idx: int, eps=None):
     return q, out
 
 
+def sum_key(core_key, d: int):
+    """Key of the entry core + (abelian ideal of dimension d), None when the
+    catalog has no such direct sum."""
+    key = core_key
+    for _ in range(d):
+        key = next((k for k, c in _SUM_OF.items() if c == key), None)
+    return key
+
+
 @dataclass
 class CatalogEntry:
     id: CatalogId
@@ -252,16 +233,11 @@ class CatalogEntry:
 
 def entry(cid: CatalogId) -> CatalogEntry:
     alg = instantiate(cid)
-    data = defining_extension(
-        cid.field, cid.dim, cid.idx, cid.param if cid.param is not None else None
-    )
+    data = defining_extension(cid.field, cid.dim, cid.idx, cid.param)
     if data is None:
         return CatalogEntry(cid, alg, None, [])
-    (qd, qk), cocs = data
-    qeps = None
-    if (qd, qk) in PARAMETRIC:
-        raise BadId("quotients in the catalog are never parametric")
-    quot_id = CatalogId(cid.field, qd, qk, qeps)
+    qkey, cocs = data
+    quot_id = CatalogId(cid.field, *qkey)
     quot = instantiate(quot_id)
     forms = [SkewForm.from_dict(quot, d) for d in cocs]
     return CatalogEntry(cid, alg, quot_id, forms)
@@ -306,12 +282,11 @@ def count(field: FieldCtx, dim: int):
     """Number of classes; None when infinite (dimension 6 over Q)."""
     if dim not in _INDEX_RANGE:
         raise BadId(f"no catalog for dimension {dim}")
-    if dim <= 5:
-        return {1: 1, 2: 1, 3: 2, 4: 3, 5: 9}[dim]
-    if field.is_rationals:
+    families = sum(1 for d, _ in PARAMETRIC if d == dim)
+    if families and field.is_rationals:
         return None
-    # |F*/(F*)^2| = 2 for odd prime fields
-    return 26 + 4 * 2
+    # a family has eps = 0 and |F*/(F*)^2| = 2 classes over odd prime fields
+    return _INDEX_RANGE[dim] + 2 * families
 
 
 def scaling_matrix(field: FieldCtx, dim: int, idx: int, eps_from, eps_to) -> Matrix:

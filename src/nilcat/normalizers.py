@@ -2,8 +2,11 @@
 
 Each function takes a NormEngine holding the transported cocycles on a
 catalog quotient and drives them to the defining cocycles of exactly one
-catalog entry, emitting elementary steps along the way.  The
-branch structure mirrors the orbit analyses of the automorphism groups on
+catalog entry, emitting elementary steps along the way, then calls
+NormEngine.finish, which compares them with the catalog's.  Where the
+cocycles cannot reach that form, relabellings fold them onto the entry's
+table and only the final certificate checks the fold.  The branch
+structure mirrors the orbit analyses of the automorphism groups on
 the cocycle representatives; every "choose a parameter so that ..." is
 resolved to a closed formula here.
 
@@ -12,9 +15,7 @@ Dispatch key: (quotient dim, quotient index, centre dimension).
 
 from __future__ import annotations
 
-from . import catalog
 from .field import two_by_two_with_det
-from .liealg import LieAlgebra
 from .linalg import Matrix
 
 
@@ -29,10 +30,6 @@ def _center_rows(M: Matrix):
     return [list(r) for r in M.data]
 
 
-def _table(eng, spec: dict) -> LieAlgebra:
-    return LieAlgebra.from_table(eng.field, eng.n + eng.s, spec)
-
-
 # ---------------------------------------------------------------- dim <= 5
 
 
@@ -41,23 +38,20 @@ def _c_2_1_s1(eng):
     eng.require(bool(a.v), "form vanishes on the plane")
     if a != eng.field.one():
         eng.scale_eta(0, a.inv(), "make the form unimodular")
-    eng.expect([{(1, 2): 1}])
-    return eng.finish_plain((3, 2))
+    return eng.finish((3, 2))
 
 
 def _c_3_2_s1(eng):
     a, b = eng.c(0)
     eng.require(a.v or b.v, "radical contains the derived line")
     eng.aut(_send_pair_to_e1(eng, a, b), "send the coefficient pair to (1, 0)")
-    eng.expect([{(1, 3): 1}])
-    return eng.finish_plain((4, 3))
+    return eng.finish((4, 3))
 
 
 def _c_4_1_s1(eng):
     r = eng.skew_canonical(0)
     eng.require(r == 4, "form on the abelian quotient is degenerate")
-    eng.expect([{(1, 2): 1, (3, 4): 1}])
-    return eng.finish_plain((5, 4))
+    return eng.finish((5, 4))
 
 
 def _c_4_2_s1(eng):
@@ -77,8 +71,7 @@ def _c_4_2_s1(eng):
     eng.require(d.v, "x4 stays in the radical")
     if d != eng.field.one():
         eng.aut({"a44": d.inv()}, "scale the (2,4) coefficient to 1")
-    eng.expect([{(1, 3): 1, (2, 4): 1}])
-    return eng.finish_plain((5, 5))
+    return eng.finish((5, 5))
 
 
 def _c_4_3_s1(eng):
@@ -88,14 +81,12 @@ def _c_4_3_s1(eng):
         eng.scale_eta(0, a.inv())
     a, b = eng.c(0)
     if b.is_zero:
-        eng.expect([{(1, 4): 1}])
-        return eng.finish_plain((5, 7))
+        return eng.finish((5, 7))
     eng.aut({"a11": b, "a22": b}, "weighted scaling equalizes the coefficients")
     a, b = eng.c(0)
     eng.require(a == b and a.v, "scaling drifted")
     eng.scale_eta(0, a.inv())
-    eng.expect([{(1, 4): 1, (2, 3): 1}])
-    return eng.finish_plain((5, 6))
+    return eng.finish((5, 6))
 
 
 def _c_3_1_s2(eng):
@@ -117,16 +108,14 @@ def _c_3_1_s2(eng):
     z, b, c = eng.c(1)
     if c.v:
         eng.aut({"a12": -c}, "clear the (2,3) coefficient")
-    eng.expect([{(1, 2): 1}, {(1, 3): 1}])
-    return eng.finish_plain((5, 8))
+    return eng.finish((5, 8))
 
 
 def _c_3_2_s2(eng):
     C = Matrix(eng.field, [list(eng.c(0)), list(eng.c(1))])
     eng.require(C.is_invertible(), "forms dependent modulo coboundaries")
     eng.center(_center_rows(C.invert()), "move to the standard pair")
-    eng.expect([{(1, 3): 1}, {(2, 3): 1}])
-    return eng.finish_plain((5, 9))
+    return eng.finish((5, 9))
 
 
 # ------------------------------------------------------------- dim 6, s=1
@@ -153,8 +142,7 @@ def _c_5_2_s1(eng):
     )
     if g != eng.field.one():
         eng.aut({"a44": g.inv()}, "scale the (4,5) coefficient to 1")
-    eng.expect([{(1, 3): 1, (4, 5): 1}])
-    return eng.finish_plain((6, 10))
+    return eng.finish((6, 10))
 
 
 def _c_5_3_s1(eng):
@@ -170,14 +158,12 @@ def _c_5_3_s1(eng):
     a, b, c, d = eng.c(0)
     eng.require(a == eng.field.one() and b.is_zero and d == eng.field.one())
     if c.is_zero:
-        eng.expect([{(1, 4): 1, (2, 5): 1}])
-        return eng.finish_plain((6, 12))
+        return eng.finish((6, 12))
     eng.aut({"a11": c, "a22": c, "a55": c * c * c}, "weighted scaling absorbs c")
     a, b, c2, d = eng.c(0)
     eng.require(a == c2 and a == d and a.v and b.is_zero, "scaling drifted")
     eng.scale_eta(0, a.inv())
-    eng.expect([{(1, 4): 1, (2, 3): 1, (2, 5): 1}])
-    return eng.finish_plain((6, 11))
+    return eng.finish((6, 11))
 
 
 def _c_5_5_s1(eng):
@@ -191,8 +177,7 @@ def _c_5_5_s1(eng):
         a, b, c, d = eng.c(0)
     eng.require(a.is_zero and b == eng.field.one() and c.is_zero, "drifted")
     if d.is_zero:
-        eng.expect([{(1, 5): 1, (3, 4): 1}])
-        return eng.finish_plain((6, 13))
+        return eng.finish((6, 13))
     eng.aut({"a11": d}, "weighted scaling absorbs d")
     a, b, c, d2 = eng.c(0)
     eng.require(b == d2 and b.v and a.is_zero and c.is_zero, "scaling drifted")
@@ -201,10 +186,9 @@ def _c_5_5_s1(eng):
     h = eng.field.el(2).inv()
     eng.relabel(
         [{1: 1, 4: h}, {2: 1, 3: 1, 5: h}, {3: 1, 5: h}, {4: 1}, {5: 1}, {6: 1}],
-        catalog.raw_table(eng.field, 6, 13),
         "merge with the d=0 member (characteristic is not 2)",
     )
-    return eng.finish_plain((6, 13))
+    return eng.finish((6, 13))
 
 
 def _c_5_6_s1(eng):
@@ -219,15 +203,13 @@ def _c_5_6_s1(eng):
             {"a21": -a, "a42": -h * (a * a + b)},
             "clear the remaining coefficients",
         )
-        eng.expect([{(2, 5): 1, (3, 4): -1}])
-        return eng.finish_plain((6, 14))
+        return eng.finish((6, 14))
     if a != eng.field.one():
         eng.scale_eta(0, a.inv())
     a, b, c = eng.c(0)
     if b.v:
         eng.aut({"a21": h * b}, "clear the (2,3) coefficient")
-    eng.expect([{(1, 5): 1, (2, 4): 1}])
-    return eng.finish_plain((6, 15))
+    return eng.finish((6, 15))
 
 
 def _c_5_7_s1(eng):
@@ -239,20 +221,17 @@ def _c_5_7_s1(eng):
             eng.scale_eta(0, c.inv())
         a, b, c = eng.c(0)
         eng.aut({"a21": -a, "a42": -h * b}, "clear the remaining coefficients")
-        eng.expect([{(2, 5): 1, (3, 4): -1}])
-        return eng.finish_plain((6, 16))
+        return eng.finish((6, 16))
     if a != eng.field.one():
         eng.scale_eta(0, a.inv())
     a, b, c = eng.c(0)
     if b.is_zero:
-        eng.expect([{(1, 5): 1}])
-        return eng.finish_plain((6, 18))
+        return eng.finish((6, 18))
     eng.aut({"a11": b, "a22": b * b}, "weighted scaling equalizes the coefficients")
     a, b2, c = eng.c(0)
     eng.require(a == b2 and a.v and c.is_zero, "scaling drifted")
     eng.scale_eta(0, a.inv())
-    eng.expect([{(1, 5): 1, (2, 3): 1}])
-    return eng.finish_plain((6, 17))
+    return eng.finish((6, 17))
 
 
 def _c_5_8_s1(eng):
@@ -282,22 +261,19 @@ def _c_5_8_s1(eng):
         )
         if not b.v:
             eng.require(f.v, "centre grows: rank condition fails")
-            eng.expect([{(2, 4): 1, (3, 5): f}])
-            return eng.finish_param((6, 19), f)
+            return eng.finish((6, 19), f)
         if b != one:
             eng.aut({"a33": b.inv()}, "scale the (1,5) coefficient to 1")
             a, b, c, d, e, f = eng.c(0)
         eng.require(b == one and d == one and a.is_zero and c.is_zero)
         if f.is_zero:
-            eng.expect([{(1, 5): 1, (2, 4): 1}])
-            return eng.finish_plain((6, 20))
+            return eng.finish((6, 20))
         eng.expect([{(1, 5): 1, (2, 4): 1, (3, 5): f}])
         eng.relabel(
             [{1: 1, 3: f.inv()}, {2: 1}, {3: 1}, {4: 1}, {5: 1}, {6: 1}],
-            catalog.raw_table(eng.field, 6, 19, f),
             "absorb the (1,5) term into the parametric member",
         )
-        return eng.finish_param((6, 19), f)
+        return eng.finish((6, 19), f)
     # d = 0 branch
     eng.require(f.v, "centre grows: rank condition fails")
     if f != one:
@@ -318,20 +294,12 @@ def _c_5_8_s1(eng):
         eng.expect([{(1, 4): 1, (1, 5): 1, (3, 5): 1}])
         eng.relabel(
             [{1: 1, 3: 1}, {2: 1}, {3: 1}, {4: 1}, {5: 1}, {6: 1}],
-            _table(
-                eng,
-                {(1, 2): {4: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (3, 5): {6: 1}},
-            ),
             "clear the (1,5) term",
         )
     else:
         eng.expect([{(1, 4): 1, (3, 5): 1}])
-    eng.relabel(
-        [{1: 1}, {3: 1}, {2: 1}, {5: 1}, {4: 1}, {6: 1}],
-        catalog.raw_table(eng.field, 6, 20),
-        "relabel the basis",
-    )
-    return eng.finish_plain((6, 20))
+    eng.relabel([{1: 1}, {3: 1}, {2: 1}, {5: 1}, {4: 1}, {6: 1}], "relabel the basis")
+    return eng.finish((6, 20))
 
 
 def _c_5_9_s1(eng):
@@ -352,23 +320,10 @@ def _c_5_9_s1(eng):
     if a != eng.field.one():
         eng.scale_eta(0, a.inv())
     a, b, c = eng.c(0)
-    eng.expect([{(1, 4): 1, (2, 5): c}])
-    return eng.finish_param((6, 21), c)
+    return eng.finish((6, 21), c)
 
 
 # ------------------------------------------------------------- dim 6, s=2
-
-
-def _k1_41_table(eng, eps):
-    return _table(
-        eng,
-        {
-            (1, 2): {5: 1},
-            (1, 3): {6: 1},
-            (2, 4): {6: eps},
-            (3, 4): {5: 1, 6: 1},
-        },
-    )
 
 
 def _psi_cols(eng, eps):
@@ -472,17 +427,12 @@ def _c_4_1_s2(eng):
                     {5: 1, 6: 1},
                     {5: 1},
                 ],
-                _k1_41_table(eng, 0),
                 "fold the split pair onto the shifted pencil member",
             )
             eps0 = eng.field.zero()
             cols, delta = _psi_cols(eng, eps0)
-            eng.relabel(
-                cols,
-                catalog.raw_table(eng.field, 6, 22, delta),
-                "fold onto the parametric family",
-            )
-            return eng.finish_param((6, 22), delta)
+            eng.relabel(cols, "fold onto the parametric family")
+            return eng.finish((6, 22), delta)
         z = eng.c(1)[0]
         eng.require(z.is_zero, "reduction drifted")
         _, a, b, c, d, e = eng.c(1)
@@ -508,29 +458,19 @@ def _c_4_1_s2(eng):
         "normalization drifted",
     )
     if e.is_zero:
-        eng.expect([{(1, 2): 1, (3, 4): 1}, {(1, 3): 1, (2, 4): d}])
-        return eng.finish_param((6, 22), d)
+        return eng.finish((6, 22), d)
     eng.expect([{(1, 2): 1, (3, 4): 1}, {(1, 3): 1, (2, 4): d, (3, 4): 1}])
     cols, delta = _psi_cols(eng, d)
-    eng.relabel(
-        cols,
-        catalog.raw_table(eng.field, 6, 22, delta),
-        "fold the shifted member onto the parametric family",
-    )
-    return eng.finish_param((6, 22), delta)
-
-
-def _k1_42_table(eng):
-    return _table(eng, {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {6: 1}})
+    eng.relabel(cols, "fold the shifted member onto the parametric family")
+    return eng.finish((6, 22), delta)
 
 
 def _fold_to_619_zero(eng):
     eng.relabel(
         [{2: 1}, {1: 1}, {4: -1}, {3: 1}, {6: -1}, {5: 1}],
-        catalog.raw_table(eng.field, 6, 19, 0),
         "relabel onto the eps=0 member of the parametric family",
     )
-    return eng.finish_param((6, 19), 0)
+    return eng.finish((6, 19), 0)
 
 
 def _c_4_2_s2(eng):
@@ -597,8 +537,7 @@ def _sub_42_A(eng):
         eng.require(b.v, "forms are dependent")
         if b != one:
             eng.scale_eta(1, b.inv())
-        eng.expect([{(1, 3): 1, (2, 4): 1}, {(1, 4): 1}])
-        return eng.finish_plain((6, 23))
+        return eng.finish((6, 23))
     if d.v:
         two = eng.field.el(2)
         t = two * c / d
@@ -613,8 +552,7 @@ def _sub_42_A(eng):
     if c != one:
         eng.scale_eta(1, c.inv())
     _, b, c, d = eng.c(1)
-    eng.expect([{(1, 3): 1, (2, 4): 1}, {(1, 4): b, (2, 3): 1}])
-    return eng.finish_param((6, 24), b)
+    return eng.finish((6, 24), b)
 
 
 def _sub_42_B(eng):
@@ -664,10 +602,9 @@ def _sub_42_B(eng):
                     {5: 2, 6: -2},
                     {5: 2, 6: 2},
                 ],
-                catalog.raw_table(eng.field, 6, 24, 1),
                 "fold onto the eps=1 member (characteristic is not 2)",
             )
-            return eng.finish_param((6, 24), 1)
+            return eng.finish((6, 24), 1)
         eng.expect([{(1, 3): 1}, {(2, 4): 1}])
         return _fold_to_619_zero(eng)
     # d = 0, b != 0
@@ -683,12 +620,10 @@ def _sub_42_B(eng):
         eng.expect([{(1, 3): 1}, {(1, 4): 1, (2, 3): 1}])
         eng.relabel(
             [{2: -1}, {1: -1}, {3: -1}, {4: -1}, {6: 1}, {5: 1}],
-            catalog.raw_table(eng.field, 6, 24, 0),
             "relabel onto the eps=0 member",
         )
-        return eng.finish_param((6, 24), 0)
-    eng.expect([{(1, 3): 1}, {(1, 4): 1}])
-    return eng.finish_plain((6, 25))
+        return eng.finish((6, 24), 0)
+    return eng.finish((6, 25))
 
 
 def _sub_42_C(eng):
@@ -725,7 +660,6 @@ def _sub_42_C(eng):
         eng.expect([{(1, 4): 1}, {(2, 3): 1}])
         eng.relabel(
             [{2: 1}, {1: -1}, {3: 1}, {4: -1}, {6: -1}, {5: -1}],
-            _k1_42_table(eng),
             "relabel onto the standard pair",
         )
         return _fold_to_619_zero(eng)
@@ -741,11 +675,9 @@ def _sub_42_C(eng):
         a, _, c, d = eng.c(1)
         eng.require(a == one and d == one and c.is_zero)
         eng.swap_etas("reorder the pair")
-        eng.expect([{(1, 3): 1, (2, 4): 1}, {(1, 4): 1}])
-        return eng.finish_plain((6, 23))
+        return eng.finish((6, 23))
     eng.swap_etas("reorder the pair")
-    eng.expect([{(1, 3): 1}, {(1, 4): 1}])
-    return eng.finish_plain((6, 25))
+    return eng.finish((6, 25))
 
 
 def _c_4_3_s2(eng):
@@ -755,23 +687,23 @@ def _c_4_3_s2(eng):
     eng.expect([{(1, 4): 1}, {(2, 3): 1}])
     eng.relabel(
         [{1: 1}, {2: 1}, {3: 1}, {4: 1}, {6: 1}, {5: 1}],
-        catalog.raw_table(eng.field, 6, 21, 0),
         "swap the two centre generators",
     )
-    return eng.finish_param((6, 21), 0)
+    return eng.finish((6, 21), 0)
 
 
 def _c_3_1_s3(eng):
     C = Matrix(eng.field, [list(eng.c(i)) for i in range(3)])
     eng.require(C.is_invertible(), "forms are dependent")
     eng.center(_center_rows(C.invert()), "move to the standard triple")
-    eng.expect([{(1, 2): 1}, {(1, 3): 1}, {(2, 3): 1}])
-    return eng.finish_plain((6, 26))
+    return eng.finish((6, 26))
 
 
 # -------------------------------------------------------------- dispatch
 
-_ALL = [{(1, 2): 1}]
+# Cocycle representatives per quotient: the basis whose coordinates eng.c
+# returns by position.  compute_spaces(N).h2reps is another basis on L5_5,
+# L5_6 and L5_7, so the table stays written out.
 _REPS = {
     (2, 1): [{(1, 2): 1}],
     (3, 1): [{(1, 2): 1}, {(1, 3): 1}, {(2, 3): 1}],

@@ -1,6 +1,8 @@
 import pytest
 
+from nilcat import catalog
 from nilcat.catalog import (
+    PARAMETRIC,
     CatalogId,
     count,
     entry,
@@ -10,15 +12,58 @@ from nilcat.catalog import (
     raw_table,
     same_id,
     scaling_iso,
+    sum_key,
 )
 from nilcat.cohomology import central_extension
 from nilcat.errors import BadId, ZeroArgument
 from nilcat.field import prime_field, rationals
+from nilcat.liealg import LieAlgebra
 
 Q = rationals()
 F3 = prime_field(3)
 F5 = prime_field(5)
 F7 = prime_field(7)
+
+# Bracket tables of the entries that are neither direct sums nor abelian,
+# written out as in the classification: the independent reference for
+# the tables that catalog builds from its defining extensions.  1-based
+# indices; 'e' marks the parametric coefficient.
+REFERENCE_TABLES = {
+    (3, 2): {(1, 2): {3: 1}},
+    (4, 3): {(1, 2): {3: 1}, (1, 3): {4: 1}},
+    (5, 4): {(1, 2): {5: 1}, (3, 4): {5: 1}},
+    (5, 5): {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}},
+    (5, 6): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}},
+    (5, 7): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}},
+    (5, 8): {(1, 2): {4: 1}, (1, 3): {5: 1}},
+    (5, 9): {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}},
+    (6, 10): {(1, 2): {3: 1}, (1, 3): {6: 1}, (4, 5): {6: 1}},
+    (6, 11): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 3): {6: 1}, (2, 5): {6: 1}},
+    (6, 12): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}},
+    (6, 13): {(1, 2): {3: 1}, (1, 3): {5: 1}, (2, 4): {5: 1}, (1, 5): {6: 1}, (3, 4): {6: 1}},
+    (6, 14): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}, (2, 5): {6: 1}, (3, 4): {6: -1}},
+    (6, 15): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 3): {5: 1}, (1, 5): {6: 1}, (2, 4): {6: 1}},
+    (6, 16): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (2, 5): {6: 1}, (3, 4): {6: -1}},
+    (6, 17): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}, (2, 3): {6: 1}},
+    (6, 18): {(1, 2): {3: 1}, (1, 3): {4: 1}, (1, 4): {5: 1}, (1, 5): {6: 1}},
+    (6, 19): {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 4): {6: 1}, (3, 5): {6: "e"}},
+    (6, 20): {(1, 2): {4: 1}, (1, 3): {5: 1}, (1, 5): {6: 1}, (2, 4): {6: 1}},
+    (6, 21): {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}, (1, 4): {6: 1}, (2, 5): {6: "e"}},
+    (6, 22): {(1, 2): {5: 1}, (1, 3): {6: 1}, (2, 4): {6: "e"}, (3, 4): {5: 1}},
+    (6, 23): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}, (2, 4): {5: 1}},
+    (6, 24): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: "e"}, (2, 3): {6: 1}, (2, 4): {5: 1}},
+    (6, 25): {(1, 2): {3: 1}, (1, 3): {5: 1}, (1, 4): {6: 1}},
+    (6, 26): {(1, 2): {4: 1}, (1, 3): {5: 1}, (2, 3): {6: 1}},
+}
+
+
+def reference_table(field, key, eps=None):
+    spec = {
+        pair: {k: eps if c == "e" else c for k, c in comps.items()}
+        for pair, comps in REFERENCE_TABLES[key].items()
+    }
+    return LieAlgebra.from_table(field, key[0], spec)
+
 
 # Lower-central-series dims and centre dim of every dim-6 family, computed
 # once by direct bracket spans (parametric members evaluated at eps = 1)
@@ -143,7 +188,14 @@ def test_label_and_parse_round_trip():
 
 
 def test_defining_extension_reproduces_every_table():
-    for field in (Q, F3):
+    # the tables built from the defining extensions equal the reference
+    assert set(REFERENCE_TABLES) == set(catalog._DEF_EXT)
+    for field in (Q, F3, F7):
+        for key in REFERENCE_TABLES:
+            for eps in (0, 1, -1, 2, 5) if key in PARAMETRIC else (None,):
+                want = reference_table(field, key, eps)
+                assert raw_table(field, *key, eps) == want, (field, key, eps)
+        # and every entry, direct sums included, is its defining extension
         for dim in range(1, 7):
             for cid in ids_over(field, dim):
                 e = entry(cid)
@@ -153,6 +205,20 @@ def test_defining_extension_reproduces_every_table():
                 quot = instantiate(e.defining_quotient)
                 K, _ = central_extension(quot, e.defining_cocycles)
                 assert K == e.algebra, cid.label()
+
+
+def test_defining_quotients_are_not_parametric():
+    for key, (quotient, _) in catalog._DEF_EXT.items():
+        assert quotient not in PARAMETRIC, key
+
+
+def test_sum_key_follows_the_direct_sums():
+    assert sum_key((3, 2), 1) == (4, 2)
+    assert sum_key((3, 2), 3) == (6, 2)
+    assert sum_key((4, 3), 2) == (6, 3)
+    assert sum_key((5, 9), 1) == (6, 9)
+    assert sum_key((5, 9), 2) is None
+    assert sum_key((6, 10), 1) is None
 
 
 @pytest.mark.parametrize("key", [(6, 19), (6, 21), (6, 22), (6, 24)])

@@ -2,7 +2,13 @@ import pytest
 
 from nilcat.catalog import CatalogId, ids_over, instantiate, raw_table, same_id, scaling_iso
 from nilcat.cohomology import SkewForm
-from nilcat.errors import DimTooLarge, NotALieAlgebra, NotAnAutomorphism, NotNilpotent
+from nilcat.errors import (
+    DimTooLarge,
+    InternalInvariantViolated,
+    NotALieAlgebra,
+    NotAnAutomorphism,
+    NotNilpotent,
+)
 from nilcat.field import prime_field, rationals
 from nilcat.liealg import LieAlgebra, LinearMap
 from nilcat.linalg import Matrix
@@ -248,6 +254,39 @@ def test_dispatch_has_no_impossible_cases():
     assert set(k[2] for k in DISPATCH) == {1, 2, 3}
 
 
+def test_dispatch_values_are_reps_and_case():
+    # (reps, case) pairs: the benchmark's tracer unpacks them this way
+    from nilcat.normalizers import DISPATCH
+
+    for key, value in DISPATCH.items():
+        reps, case = value
+        assert isinstance(reps, list) and reps, key
+        assert all(isinstance(d, dict) for d in reps), key
+        assert all(len(p) == 2 and p[0] < p[1] for d in reps for p in d), key
+        assert callable(case), key
+
+
+def test_finish_checks_the_defining_cocycles():
+    from nilcat.normalizers import DISPATCH
+    from nilcat.recognize import NormEngine
+
+    def engine():
+        N = raw_table(Q, 2, 1)
+        etas = [SkewForm.from_dict(N, {(1, 2): 2})]
+        return NormEngine((2, 1), N, etas, DISPATCH[(2, 1, 1)][0])
+
+    eng = engine()
+    with pytest.raises(InternalInvariantViolated, match="normal form does not match"):
+        eng.finish((3, 2))
+    eng.scale_eta(0, Q.el("1/2"))
+    assert eng.finish((3, 2)) == CatalogId(Q, 3, 2)
+    # L4_3 is an extension of L3_2, not of the engine's quotient L2_1
+    eng = engine()
+    eng.scale_eta(0, Q.el("1/2"))
+    with pytest.raises(InternalInvariantViolated, match="not an extension of"):
+        eng.finish((4, 3))
+
+
 def test_random_extension_recognition():
     # extensions built directly from random cocycles, not basis changes:
     # exercises every dispatch branch with verified output
@@ -340,9 +379,9 @@ def test_corrupted_step_fails_the_certificate(monkeypatch, step):
     if step == "relabel":
         orig = NormEngine.relabel
 
-        def broken(self, cols, target, *args, **kwargs):
+        def broken(self, cols, *args, **kwargs):
             cols = [{i: 2 * v for i, v in cols[0].items()}] + list(cols[1:])
-            return orig(self, cols, target, *args, **kwargs)
+            return orig(self, cols, *args, **kwargs)
 
         monkeypatch.setattr(NormEngine, "relabel", broken)
         ((_, K),) = fuzz_basis_change(instantiate(CatalogId(Q, 6, 13)), 1, seed=3)
