@@ -51,7 +51,7 @@ def parse_algebra_text(text: str) -> LieAlgebra:
                 brackets[(i, j)] = comps
             else:
                 raise NilcatError("cannot parse")
-        except (NilcatError, ValueError, ZeroDivisionError) as exc:
+        except (NilcatError, ValueError) as exc:
             reason = str(exc) if isinstance(exc, NilcatError) else "cannot parse"
             raise NilcatError(f"line {lineno}: {reason}: {raw.strip()!r}") from None
     if field is None or dim is None:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import Eq1Violated, NotACocycle, NotAnAutomorphism
 from .field import FieldElem
-from .liealg import LieAlgebra, LinearMap, Subspace, _extends
+from .liealg import LieAlgebra, LinearMap, Subspace
 from .linalg import Matrix, is_zero_vec, raw_zero, wrap
 
 
@@ -182,21 +182,14 @@ def compute_spaces(L: LieAlgebra) -> CohomologySpaces:
     z2_vecs = equations.kernel()
 
     b2_span = Subspace.from_spanning(field, len(ps), coboundary_basis_vectors(L))
-    b2_vecs = list(b2_span.basis)
-
-    reps = []
-    cur = [list(v) for v in b2_vecs]
-    for z in z2_vecs:
-        if _extends(field, cur, z):
-            reps.append(z)
-            cur.append(list(z))
+    reps, _ = b2_span.complement([[x.v for x in z] for z in z2_vecs])
 
     out = CohomologySpaces(
         base=L,
         equations=equations,
         z2=[SkewForm(L, v) for v in z2_vecs],
-        b2=[SkewForm(L, v) for v in b2_vecs],
-        h2reps=[SkewForm(L, v) for v in reps],
+        b2=[SkewForm(L, v) for v in b2_span.basis],
+        h2reps=[SkewForm(L, wrap(field, v)) for v in reps],
     )
     L._cache["coh"] = out
     return out
@@ -253,13 +246,10 @@ def extension_center_ok(L: LieAlgebra, thetas) -> bool:
 
 def no_central_component(L: LieAlgebra, thetas) -> bool:
     """True iff the cocycles are independent modulo coboundaries."""
-    coh = compute_spaces(L)
-    cur = [list(f.coeffs) for f in coh.b2]
-    for th in thetas:
-        if not _extends(L.field, cur, th.coeffs):
-            return False
-        cur.append(list(th.coeffs))
-    return True
+    b2 = [f.coeffs for f in compute_spaces(L).b2]
+    B2 = Subspace.from_spanning(L.field, len(pairs(L.dim)), b2)
+    kept, _ = B2.complement([[x.v for x in th.coeffs] for th in thetas])
+    return len(kept) == len(thetas)
 
 
 def aut_action(phi: Matrix, theta: SkewForm) -> SkewForm:
@@ -336,38 +326,20 @@ def factor_by_center(K: LieAlgebra):
     """Present K as a central extension of K / C(K).
 
     Returns (Q, thetas, phi) with phi : K -> ext(Q, thetas) an isomorphism;
-    thetas are the cocycles cut out by the canonical section.  Neither is
-    re-checked here: the cocycles come from a Lie algebra, and phi is left
-    unverified (call phi.verify() to certify it; recognition certifies only
-    the composed map).
+    thetas are the cocycles cut out by the canonical section sigma, which
+    hits the coordinates off the centre's pivot columns.  Every v has
+    v - sigma(proj v) = sum_l v[pivot_l] C.basis[l], so theta_l(a, b) is
+    the pivot-l entry of [sigma a, sigma b], and phi's centre rows read
+    the pivot coordinates.  Neither is re-checked here: the cocycles come
+    from a Lie algebra, and phi is left unverified (call phi.verify() to
+    certify it; recognition certifies only the composed map).
     """
     C = K.center()
-    Q, proj, sect = K.quotient(C)
-    n, s = Q.dim, C.dim
-    ps = pairs(n)
-    coeff_rows = [[] for _ in range(s)]
-    for (a, b) in ps:
-        w = K.bracket(sect.matrix.col(a), sect.matrix.col(b))
-        # [sigma x, sigma y] - sigma([x, y]) lies in the centre
-        diff = tuple(
-            wi - si
-            for wi, si in zip(w, sect.apply(Q.bracket_basis(a, b)))
-        )
-        coords = C.coords_of(diff)
-        if coords is None:
-            raise NotACocycle("section defect left the centre; not an extension")
-        for l in range(s):
-            coeff_rows[l].append(coords[l])
-    thetas = [SkewForm(Q, row) for row in coeff_rows]
+    Q, proj, _ = K.quotient(C)
+    comp = [c for c in range(K.dim) if c not in C.pivots]
+    brackets = [K.bracket_basis(comp[a], comp[b]) for a, b in pairs(Q.dim)]
+    thetas = [SkewForm(Q, [w[pc] for w in brackets]) for pc in C.pivots]
     ext, _ = central_extension(Q, thetas, check=False)
-    rows = [list(proj.matrix.data[a]) for a in range(n)]
-    sp = sect.matrix * proj.matrix
-    centre_cols = []
-    for i in range(K.dim):
-        resid = tuple(
-            K.field.el(1 if r == i else 0) - sp.data[r][i] for r in range(K.dim)
-        )
-        centre_cols.append(C.coords_of(resid))
-    for l in range(s):
-        rows.append([centre_cols[i][l] for i in range(K.dim)])
-    return Q, thetas, LinearMap(K, ext, Matrix(K.field, rows))
+    one, zero = K.field.one(), K.field.zero()
+    centre_rows = [[one if i == pc else zero for i in range(K.dim)] for pc in C.pivots]
+    return Q, thetas, LinearMap(K, ext, Matrix(K.field, proj.matrix.data + centre_rows))

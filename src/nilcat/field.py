@@ -17,6 +17,7 @@ from .errors import (
     Char2Field,
     DivisionByZero,
     MixedFields,
+    NilcatError,
     NotAPrime,
     ZeroArgument,
 )
@@ -176,10 +177,15 @@ class FieldCtx:
 
     def _parse(self, s: str) -> "FieldElem":
         s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.el(Fraction(int(num), int(den)))
-        return self.el(int(s))
+        try:
+            if "/" in s:
+                num, den = s.split("/", 1)
+                v = Fraction(int(num), int(den))
+            else:
+                v = int(s)
+        except (ValueError, ZeroDivisionError):
+            raise NilcatError(f"cannot parse literal {s!r}") from None
+        return self.el(v)
 
     def zero(self) -> "FieldElem":
         return self.el(0)
@@ -224,7 +230,10 @@ def parse_field(spec: str) -> FieldCtx:
     if spec == "Q":
         return rationals()
     if spec.startswith("GF(") and spec.endswith(")"):
-        return prime_field(int(spec[3:-1]))
+        try:
+            return prime_field(int(spec[3:-1]))
+        except ValueError:  # from int(); prime_field raises NilcatErrors
+            pass
     raise NotAPrime(f"cannot parse field spec {spec!r}")
 
 

@@ -6,18 +6,22 @@ pair i < j with a nonzero bracket, holding the nonzero (k, c_ij^k) in
 increasing k; the other brackets follow by antisymmetry.  bracket, the
 Jacobi check, the lower central series, the centre and the homomorphism
 test run on the raw values and wrap into FieldElem only what they return.
-Subspaces keep their basis in reduced row echelon form, which makes
-equality and membership tests canonical.  All objects are immutable
-after construction.
+A Subspace keeps its reduced row echelon basis once, as raw rows, which
+makes equality and membership tests canonical; `basis` boxes the rows on
+access.  Subspace.complement is the package's one greedy complement: the
+abelian summand and the core basis here, the H^2 representatives in
+cohomology and every complement and coset choice of the oracle.  All
+objects are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import MixedFields, NotAnIdeal, NotAnAutomorphism
 from .field import FieldCtx, FieldElem
-from .linalg import Matrix, is_zero_vec, kernel_raw, raw_zero, rref_raw, wrap
+from .linalg import Matrix, kernel_raw, raw_zero, rref_raw, wrap
 
 
 @dataclass(frozen=True)
@@ -201,49 +205,34 @@ class LieAlgebra:
         gens = [self._row(i, j) for i, j in self._sc]
         return Subspace._span_raw(self.field, self.dim, gens)
 
-    def lower_central_series(self) -> list["Subspace"]:
-        if "lcs" in self._cache:
-            return self._cache["lcs"]
-        n = self.dim
-        ad = self._ad()
-        zero = raw_zero(self.field)
-        ident = [[zero + 1 if i == j else zero for j in range(n)] for i in range(n)]
-        cur = Subspace._span_raw(self.field, n, ident)
+    def _series(self, key: str, step) -> list["Subspace"]:
+        """S_0 = F^n and S_{k+1} = span of step(S_k.rows), up to the first
+        term of dimension 0 or equal to the one before (cached)."""
+        if key in self._cache:
+            return self._cache[key]
+        cur = Subspace._whole(self.field, self.dim)
         series = [cur]
         while cur.dim > 0:
-            # the next term is spanned by the columns ad(x_i) b
-            gens = []
-            for b in cur.basis:
-                b = [x.v for x in b]
-                gens.extend(self._apply_ad(ad[i], b) for i in range(n))
-            nxt = Subspace._span_raw(self.field, n, gens)
+            nxt = Subspace._span_raw(self.field, self.dim, step(cur.rows))
             series.append(nxt)
             if nxt.dim == cur.dim:
                 break
             cur = nxt
-        self._cache["lcs"] = series
+        self._cache[key] = series
         return series
 
+    def lower_central_series(self) -> list["Subspace"]:
+        def step(rows):
+            # the next term is spanned by the columns ad(x_i) b
+            ad = self._ad()
+            return [self._apply_ad(ad[i], b) for b in rows for i in range(self.dim)]
+
+        return self._series("lcs", step)
+
     def derived_series(self) -> list["Subspace"]:
-        n = self.dim
-        full = Subspace.from_spanning(
-            self.field, n, [_basis_vec(self.field, n, i) for i in range(n)]
+        return self._series(
+            "derived", lambda rows: [self._bracket_raw(a, b) for a, b in combinations(rows, 2)]
         )
-        series = [full]
-        cur = full
-        while cur.dim > 0:
-            gens = []
-            bs = cur.basis
-            for a in range(len(bs)):
-                for b in range(a + 1, len(bs)):
-                    gens.append(self.bracket(bs[a], bs[b]))
-            nxt = Subspace.from_spanning(self.field, n, gens)
-            if nxt.dim == cur.dim:
-                series.append(nxt)
-                break
-            series.append(nxt)
-            cur = nxt
-        return series
 
     @property
     def is_nilpotent(self) -> bool:
@@ -254,23 +243,23 @@ class LieAlgebra:
     def quotient(self, ideal: "Subspace"):
         """(Q, proj, section) for an ideal; section hits the coordinate
         complement of the ideal's pivot columns."""
-        n = self.dim
+        n, p = self.dim, self.field.p
         ad = self._ad()
-        for b in ideal.basis:
-            b = [x.v for x in b]
+        for b in ideal.rows:
             for i in range(n):
-                if any(ideal._reduce_raw(self._apply_ad(ad[i], b))[1]):
+                if any(ideal._reduce_raw(self._apply_ad(ad[i], b))):
                     raise NotAnIdeal("subspace is not an ideal")
         pivots = ideal.pivots
         comp = [c for c in range(n) if c not in pivots]
         m = len(comp)
         zero, one = self.field.zero(), self.field.one()
         proj_rows = []
-        for a in range(m):
-            row = [zero] * n
-            row[comp[a]] = one
-            for r, pc in enumerate(pivots):
-                row[pc] = -ideal.basis[r][comp[a]]
+        for c in comp:
+            row = [raw_zero(self.field)] * n
+            for r, pc in zip(ideal.rows, pivots):
+                row[pc] = -r[c] % p if p else -r[c]
+            row = wrap(self.field, row)
+            row[c] = one
             proj_rows.append(row)
         proj_mat = Matrix(self.field, proj_rows, cols=n)
         sect_rows = [[zero] * m for _ in range(n)]
@@ -318,59 +307,32 @@ class LieAlgebra:
         if d == 0:
             ident = LinearMap(self, self, Matrix.identity(self.field, n))
             return self, 0, ident
-        cur = [list(b) for b in W.basis]
-        U = []
-        for z in Z.basis:
-            if _extends(self.field, cur, z):
-                U.append(z)
-                cur.append(list(z))
-        cur = [list(u) for u in U]
-        K1 = []
-        for b in D.basis:
-            if _extends(self.field, cur, b):
-                K1.append(b)
-                cur.append(list(b))
-        for i in range(n):
-            e = _basis_vec(self.field, n, i)
-            if _extends(self.field, cur, e):
-                K1.append(e)
-                cur.append(list(e))
+        U, _ = W.complement(Z.rows)
+        span = Subspace._span_raw(self.field, n, U)
+        K1, _ = span.complement(D.rows + Subspace._whole(self.field, n).rows)
         m = len(K1)
-        cols = K1 + U
-        basis_mat = Matrix(self.field, [[cols[j][i] for j in range(n)] for i in range(n)])
+        cols = [wrap(self.field, v) for v in K1 + U]
+        basis_mat = Matrix(self.field, [[c[i] for c in cols] for i in range(n)])
         coords = basis_mat.invert()
         core_tab = [[None] * m for _ in range(m)]
         for a in range(m):
             for b in range(a + 1, m):
-                w = coords.matvec(self.bracket(K1[a], K1[b]))
+                w = coords.matvec(wrap(self.field, self._bracket_raw(K1[a], K1[b])))
                 core_tab[a][b] = w[:m]
         core = LieAlgebra(self.field, m, core_tab)
         target = core.direct_sum(LieAlgebra.abelian(self.field, d))
         return core, d, LinearMap(self, target, coords)
 
 
-def _basis_vec(field: FieldCtx, n: int, i: int):
-    zero = field.zero()
-    return tuple(field.one() if j == i else zero for j in range(n))
-
-
-def _extends(field: FieldCtx, rows, v) -> bool:
-    """True when v is independent of the span of rows."""
-    if not rows:
-        return not is_zero_vec(v)
-    M = Matrix(field, rows + [list(v)])
-    return M.rank() == len(rows) + 1
-
-
 class Subspace:
-    """Subspace of F^n with canonical (RREF) basis."""
+    """Subspace of F^n with canonical (RREF) basis, stored once as raw rows."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field: FieldCtx, ambient_dim: int, basis, pivots):
+    def __init__(self, field: FieldCtx, ambient_dim: int, rows, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows  # tuples of reduced raw values
         self.pivots = pivots
 
     @classmethod
@@ -379,47 +341,59 @@ class Subspace:
 
     @classmethod
     def _span_raw(cls, field: FieldCtx, ambient_dim: int, vectors) -> "Subspace":
-        """The span of reduced raw coordinate lists."""
+        """The span of reduced raw coordinate sequences."""
         rows = [list(v) for v in vectors if any(v)]
         pivots = rref_raw(field, rows, ambient_dim)
-        basis = tuple(tuple(wrap(field, rows[r])) for r in range(len(pivots)))
-        return cls(field, ambient_dim, basis, tuple(pivots))
+        return cls(field, ambient_dim, tuple(map(tuple, rows[: len(pivots)])), tuple(pivots))
+
+    @classmethod
+    def _whole(cls, field: FieldCtx, n: int) -> "Subspace":
+        """F^n, whose rows are the standard basis."""
+        zero = raw_zero(field)
+        rows = tuple(tuple(zero + 1 if j == i else zero for j in range(n)) for i in range(n))
+        return cls(field, n, rows, tuple(range(n)))
+
+    @property
+    def basis(self):
+        """The RREF basis as FieldElem tuples."""
+        return tuple(tuple(wrap(self.field, r)) for r in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def _reduce_raw(self, w):
-        """(coefficients, remainder) of a reduced raw vector w against the
-        RREF basis; w is consumed."""
+    def _reduce_raw(self, v) -> list:
+        """The remainder of a reduced raw vector v against the RREF rows."""
         p = self.field.p
-        coeffs = []
-        for row, pc in zip(self.basis, self.pivots):
+        w = list(v)
+        for row, pc in zip(self.rows, self.pivots):
             c = w[pc]
-            coeffs.append(c)
             if c:
                 for i, x in enumerate(row):
-                    if x.v:
-                        w[i] = (w[i] - c * x.v) % p if p else w[i] - c * x.v
-        return coeffs, w
+                    if x:
+                        w[i] = (w[i] - c * x) % p if p else w[i] - c * x
+        return w
+
+    def complement(self, vectors):
+        """(kept, span): in order, each reduced raw vector outside the span
+        of this subspace and the vectors kept before it, and the span of
+        this subspace and all the kept vectors."""
+        kept, span = [], self
+        for v in vectors:
+            if any(span._reduce_raw(v)):
+                kept.append(v)
+                span = Subspace._span_raw(self.field, self.ambient_dim, [*span.rows, v])
+        return kept, span
 
     def contains(self, v) -> bool:
-        return not any(self._reduce_raw([x.v for x in v])[1])
-
-    def coords_of(self, v):
-        """Coefficients of v in the RREF basis, or None when v is outside."""
-        coeffs, rest = self._reduce_raw([x.v for x in v])
-        if any(rest):
-            return None
-        return tuple(wrap(self.field, coeffs))
+        return not any(self._reduce_raw([x.v for x in v]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.field, self.ambient_dim, (), ())
         field, n = self.field, self.ambient_dim
         p = field.p
-        A = [[x.v for x in a] for a in self.basis]
-        B = [[x.v for x in b] for b in other.basis]
+        A, B = self.rows, other.rows
         # kernel vectors (k, l) of sum_r k_r a_r = sum_s l_s b_s
         rows = [[a[i] for a in A] + [-b[i] % p if p else -b[i] for b in B] for i in range(n)]
         vecs = []
@@ -435,8 +409,9 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
+            and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __repr__(self):

@@ -26,8 +26,12 @@ def _send_pair_to_e1(eng, x, y):
     return {"a11": M[0][0], "a12": M[1][0], "a21": M[0][1], "a22": M[1][1]}
 
 
-def _center_rows(M: Matrix):
-    return [list(r) for r in M.data]
+def _move_to_standard(eng, why: str, note: str):
+    """Centre base change sending the cocycles to the representatives,
+    from the matrix of their coordinates."""
+    C = Matrix(eng.field, [list(eng.c(i)) for i in range(eng.s)])
+    eng.require(C.is_invertible(), why)
+    eng.center(C.invert().data, note)
 
 
 # ---------------------------------------------------------------- dim <= 5
@@ -112,9 +116,7 @@ def _c_3_1_s2(eng):
 
 
 def _c_3_2_s2(eng):
-    C = Matrix(eng.field, [list(eng.c(0)), list(eng.c(1))])
-    eng.require(C.is_invertible(), "forms dependent modulo coboundaries")
-    eng.center(_center_rows(C.invert()), "move to the standard pair")
+    _move_to_standard(eng, "forms dependent modulo coboundaries", "move to the standard pair")
     return eng.finish((5, 9))
 
 
@@ -500,25 +502,30 @@ def _c_4_2_s2(eng):
     return _sub_42_C(eng)
 
 
+def _repin(eng, lead):
+    """Rescale the leading form back to the sum of the representatives at
+    the lead positions, the only nonzero coefficients it may have."""
+    t = eng.c(0)
+    a = t[lead[0]]
+    eng.require(
+        a.v and all(x == a if k in lead else x.is_zero for k, x in enumerate(t)),
+        "leading form drifted",
+    )
+    if a != eng.field.one():
+        eng.scale_eta(0, a.inv())
+
+
+def _reduce_second(eng, pos):
+    """Clear the second form's coefficient at pos with the first form."""
+    lam = eng.c(1)[pos]
+    if lam.v:
+        eng.sub_eta(1, 0, lam, "reduce the second form modulo the first")
+
+
 def _sub_42_A(eng):
     """Leading form D13 + D24 (nondegenerate on the quotient)."""
     one = eng.field.one()
-
-    def repin():
-        t = eng.c(0)
-        eng.require(
-            t[1].is_zero and t[2].is_zero and t[0] == t[3] and t[0].v,
-            "leading form drifted",
-        )
-        if t[0] != one:
-            eng.scale_eta(0, t[0].inv())
-
-    def reduce_second():
-        lam = eng.c(1)[0]
-        if lam.v:
-            eng.sub_eta(1, 0, lam, "reduce the second form modulo the first")
-
-    reduce_second()
+    _reduce_second(eng, 0)
     _, b, c, d = eng.c(1)
     if not c.v:
         if d.v:
@@ -527,8 +534,8 @@ def _sub_42_A(eng):
             _, b, c, d = eng.c(1)
             if b.v:
                 eng.aut({"a21": -b, "a34": b}, "clear the (1,4) coefficient")
-                repin()
-                reduce_second()
+                _repin(eng, (0, 3))
+                _reduce_second(eng, 0)
             _, b, c, d = eng.c(1)
             eng.require(b.is_zero and c.is_zero and d == one)
             eng.sub_eta(0, 1, 1, "leading form becomes D13")
@@ -545,8 +552,8 @@ def _sub_42_A(eng):
             {"a21": 1, "a11": t, "a22": d / (two * c), "a34": -t, "a44": t * t},
             "rotate the (2,3) coefficient into clearing position",
         )
-        repin()
-    reduce_second()
+        _repin(eng, (0, 3))
+    _reduce_second(eng, 0)
     _, b, c, d = eng.c(1)
     eng.require(c.v and d.is_zero, "reduction drifted")
     if c != one:
@@ -558,22 +565,7 @@ def _sub_42_A(eng):
 def _sub_42_B(eng):
     """Leading form D13."""
     one = eng.field.one()
-
-    def repin():
-        t = eng.c(0)
-        eng.require(
-            t[0].v and t[1].is_zero and t[2].is_zero and t[3].is_zero,
-            "leading form drifted",
-        )
-        if t[0] != one:
-            eng.scale_eta(0, t[0].inv())
-
-    def reduce_second():
-        lam = eng.c(1)[0]
-        if lam.v:
-            eng.sub_eta(1, 0, lam, "reduce the second form modulo the first")
-
-    reduce_second()
+    _reduce_second(eng, 0)
     _, b, c, d = eng.c(1)
     eng.require(b.v or d.v, "joint radical meets the centre")
     if d.v:
@@ -582,14 +574,14 @@ def _sub_42_B(eng):
         _, b, c, d = eng.c(1)
         if b.v:
             eng.aut({"a21": -b}, "clear the (1,4) coefficient")
-            repin()
-            reduce_second()
+            _repin(eng, (0,))
+            _reduce_second(eng, 0)
         _, b, c, d = eng.c(1)
         eng.require(b.is_zero and d == one)
         if c.v:
             eng.aut({"a11": c.inv()}, "scale the (2,3) coefficient to 1")
-            repin()
-            reduce_second()
+            _repin(eng, (0,))
+            _reduce_second(eng, 0)
             _, b, c, d = eng.c(1)
             eng.require(b.is_zero and c == one and d == one)
             eng.expect([{(1, 3): 1}, {(2, 3): 1, (2, 4): 1}])
@@ -613,8 +605,8 @@ def _sub_42_B(eng):
     _, b, c, d = eng.c(1)
     if c.v:
         eng.aut({"a11": c.inv(), "a44": c}, "scale the (2,3) coefficient to 1")
-        repin()
-        reduce_second()
+        _repin(eng, (0,))
+        _reduce_second(eng, 0)
         _, b, c, d = eng.c(1)
         eng.require(b == one and c == one and d.is_zero)
         eng.expect([{(1, 3): 1}, {(1, 4): 1, (2, 3): 1}])
@@ -629,22 +621,7 @@ def _sub_42_B(eng):
 def _sub_42_C(eng):
     """Leading form D14."""
     one = eng.field.one()
-
-    def repin():
-        t = eng.c(0)
-        eng.require(
-            t[1].v and t[0].is_zero and t[2].is_zero and t[3].is_zero,
-            "leading form drifted",
-        )
-        if t[1] != one:
-            eng.scale_eta(0, t[1].inv())
-
-    def reduce_second():
-        lam = eng.c(1)[1]
-        if lam.v:
-            eng.sub_eta(1, 0, lam, "reduce the second form modulo the first")
-
-    reduce_second()
+    _reduce_second(eng, 1)
     a, _, c, d = eng.c(1)
     eng.require(a.v or c.v, "joint radical meets the centre")
     if c.v:
@@ -653,8 +630,8 @@ def _sub_42_C(eng):
         a, _, c, d = eng.c(1)
         if a.v or d.v:
             eng.aut({"a21": -a, "a34": -d}, "clear the (1,3) and (2,4) coefficients")
-            repin()
-            reduce_second()
+            _repin(eng, (1,))
+            _reduce_second(eng, 1)
         a, _, c, d = eng.c(1)
         eng.require(a.is_zero and c == one and d.is_zero)
         eng.expect([{(1, 4): 1}, {(2, 3): 1}])
@@ -670,8 +647,8 @@ def _sub_42_C(eng):
     if d.v:
         if d != one:
             eng.aut({"a44": d.inv()}, "scale the (2,4) coefficient to 1")
-            repin()
-            reduce_second()
+            _repin(eng, (1,))
+            _reduce_second(eng, 1)
         a, _, c, d = eng.c(1)
         eng.require(a == one and d == one and c.is_zero)
         eng.swap_etas("reorder the pair")
@@ -681,9 +658,7 @@ def _sub_42_C(eng):
 
 
 def _c_4_3_s2(eng):
-    C = Matrix(eng.field, [list(eng.c(0)), list(eng.c(1))])
-    eng.require(C.is_invertible(), "forms dependent modulo coboundaries")
-    eng.center(_center_rows(C.invert()), "move to the standard pair")
+    _move_to_standard(eng, "forms dependent modulo coboundaries", "move to the standard pair")
     eng.expect([{(1, 4): 1}, {(2, 3): 1}])
     eng.relabel(
         [{1: 1}, {2: 1}, {3: 1}, {4: 1}, {6: 1}, {5: 1}],
@@ -693,9 +668,7 @@ def _c_4_3_s2(eng):
 
 
 def _c_3_1_s3(eng):
-    C = Matrix(eng.field, [list(eng.c(i)) for i in range(3)])
-    eng.require(C.is_invertible(), "forms are dependent")
-    eng.center(_center_rows(C.invert()), "move to the standard triple")
+    _move_to_standard(eng, "forms are dependent", "move to the standard triple")
     return eng.finish((6, 26))
 
 

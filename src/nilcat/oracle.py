@@ -4,17 +4,19 @@ and a seeded basis-change fuzzer.
 
 The search runs on the raw values the rest of nilcat uses: coordinate
 lists of ints mod p, each algebra's raw bracket and cached lower central
-series, and linalg's rref_raw and solve_raw.  It peels off central
-components first (complements of the centre meet the derived subalgebra
-trivially, so cores are unique up to isomorphism), compares graded rank
-profiles of the lower-central-series quotients, and then enumerates
-images of a generating set in two stages: the induced map on the graded
-quotients, pruned by exact relation transport over every generator pair,
-and lifts of the surviving graded maps, pruned by incremental bracket
-consistency.  The node budget bounds every enumeration: when one would
-have more elements than the budget allows nodes, the search returns
-"budget" before building it.  Any map found is re-verified as an
-isomorphism on the public exact types before it escapes this module.
+series, liealg's Subspace (raw RREF rows, reduction and the greedy
+complement) for every span, complement and rank, and linalg's solve_raw.
+It peels off central components first (complements of the centre meet
+the derived subalgebra trivially, so cores are unique up to
+isomorphism), compares graded rank profiles of the lower-central-series
+quotients, and then enumerates images of a generating set in two
+stages: the induced map on the graded quotients, pruned by exact
+relation transport over every generator pair, and lifts of the
+surviving graded maps, pruned by incremental bracket consistency.  The
+node budget bounds every enumeration: when one would have more elements
+than the budget allows nodes, the search returns "budget" before
+building it.  Any map found is re-verified as an isomorphism on the
+public exact types before it escapes this module.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from .cohomology import compute_spaces
 from .errors import InternalInvariantViolated, MixedFields, ZeroArgument
-from .liealg import LieAlgebra, LinearMap
-from .linalg import Matrix, rref_raw, solve_raw
+from .liealg import LieAlgebra, LinearMap, Subspace
+from .linalg import Matrix, solve_raw
 
 
 @dataclass
@@ -58,32 +60,6 @@ def invariant_vector(L: LieAlgebra):
 # -- raw coordinate lists over F_p ----------------------------------------
 
 
-def _rref(field, rows):
-    """(nonzero RREF rows, pivots) of the raw rows, which are copied."""
-    m = [list(r) for r in rows]
-    pivots = rref_raw(field, m, len(m[0]) if m else 0)
-    return m[: len(pivots)], pivots
-
-
-def _raw_series(L: LieAlgebra):
-    """The lower central series as (raw RREF rows, pivots) pairs."""
-    return [([[x.v for x in b] for b in S.basis], S.pivots) for S in L.lower_central_series()]
-
-
-def _reduce_against(v, basis, pivots, field):
-    p = field.p
-    w = list(v)
-    for row, pc in zip(basis, pivots):
-        f = w[pc]
-        if f:
-            w = [(a - f * b) % p for a, b in zip(w, row)]
-    return w
-
-
-def _in_span(v, basis, pivots, field):
-    return not any(_reduce_against(v, basis, pivots, field))
-
-
 def _combo(p, n, terms):
     """The sum of c * v over the (c, v) terms, reduced mod p."""
     out = [0] * n
@@ -99,26 +75,13 @@ def _span_elements(basis, p, n):
     return [tuple(_combo(p, n, zip(cs, basis))) for cs in coeffs]
 
 
-def _complement_reps(upper, lower_basis, lower_pivots, field):
-    reps = []
-    basis, pivots = list(lower_basis), lower_pivots
-    for v in upper:
-        red = _reduce_against(v, basis, pivots, field)
-        if any(red):
-            reps.append(tuple(v))
-            basis, pivots = _rref(field, basis + [red])
-    return reps
-
-
 class _Grade:
     """Coordinates in one graded slice F_w / F_{w+1}."""
 
-    def __init__(self, upper, lower, lo_piv, field):
-        self.field = field
+    def __init__(self, upper: Subspace, lower: Subspace):
         self.lower = lower
-        self.lo_piv = lo_piv
-        self.reps = _complement_reps(upper, lower, lo_piv, field)
-        red = [_reduce_against(r, lower, lo_piv, field) for r in self.reps]
+        self.reps, _ = lower.complement(upper.rows)
+        red = [lower._reduce_raw(r) for r in self.reps]
         self.solver = [list(col) for col in zip(*red)]
 
     @property
@@ -126,16 +89,16 @@ class _Grade:
         return len(self.reps)
 
     def coord_of(self, v):
-        red = _reduce_against(v, self.lower, self.lo_piv, self.field)
+        red = self.lower._reduce_raw(v)
         if not self.reps:
             return () if not any(red) else None
-        sol = solve_raw(self.field, self.solver, red, self.dim)
+        sol = solve_raw(self.lower.field, self.solver, red, self.dim)
         return None if sol is None else tuple(sol)
 
 
-def _grades(series, field):
-    """The slices F_w / F_{w+1} for w >= 2 of a raw lower central series."""
-    return [_Grade(series[w][0], *series[w + 1], field) for w in range(1, len(series) - 1)]
+def _grades(series):
+    """The slices F_w / F_{w+1} for w >= 2 of a lower central series."""
+    return [_Grade(series[w], series[w + 1]) for w in range(1, len(series) - 1)]
 
 
 def _proj_functionals(s, p):
@@ -158,7 +121,7 @@ def _rank_profile(L: LieAlgebra, series, grades):
     an isomorphism invariant.
     """
     field, p = L.field, L.field.p
-    g1 = _Grade(series[0][0], *series[1], field)
+    g1 = _Grade(series[0], series[1])
     profile = []
     for w in range(2, len(grades) + 2):
         gw = grades[w - 2]
@@ -172,36 +135,28 @@ def _rank_profile(L: LieAlgebra, series, grades):
                 [0 if z is None else sum(fc * zc for fc, zc in zip(f, z)) % p for z in row]
                 for row in Z
             ]
-            ranks.append(len(rref_raw(field, M, right.dim)))
+            ranks.append(Subspace._span_raw(field, right.dim, M).dim)
         profile.append((w, tuple(sorted(ranks))))
     return tuple(profile)
 
 
 def _adapted_basis(L: LieAlgebra, gens):
     """Extend the generators by bracket monomials to a full basis."""
-    field = L.field
     vectors = list(gens)
     exprs = [("gen", t) for t in range(len(gens))]
     needs = list(range(len(gens)))
-    basis, pivots = _rref(field, vectors)
+    span = Subspace._span_raw(L.field, L.dim, vectors)
     while len(vectors) < L.dim:
-        added = False
         m = len(vectors)
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                w = L._bracket_raw(vectors[i], vectors[j])
-                if any(w) and not _in_span(w, basis, pivots, field):
-                    vectors.append(w)
-                    exprs.append(("br", i, j))
-                    needs.append(max(needs[i], needs[j]))
-                    basis, pivots = _rref(field, vectors)
-                    added = True
-                    break
-            if added:
+        for i, j in permutations(range(m), 2):
+            w = L._bracket_raw(vectors[i], vectors[j])
+            kept, span = span.complement([w])
+            if kept:
+                vectors.append(w)
+                exprs.append(("br", i, j))
+                needs.append(max(needs[i], needs[j]))
                 break
-        if not added:
+        else:
             raise InternalInvariantViolated("generators do not generate")
     return vectors, exprs, needs
 
@@ -246,19 +201,17 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
         return IsoOutcome("iso", LinearMap(A, B, M).verify(), sub.nodes)
 
     field, p, n = A.field, A.field.p, A.dim
-    series_a, series_b = _raw_series(A), _raw_series(B)
-    grades_a, grades_b = _grades(series_a, field), _grades(series_b, field)
+    series_a, series_b = A.lower_central_series(), B.lower_central_series()
+    grades_a, grades_b = _grades(series_a), _grades(series_b)
 
-    std = series_a[0][0]
-    f2b, f2b_piv = series_b[1]
-    gens_a = _complement_reps(std, *series_a[1], field)
-    reps_b = _complement_reps(std, f2b, f2b_piv, field)
+    std = series_a[0].rows
+    gens_a, _ = series_a[1].complement(std)
+    reps_b, _ = series_b[1].complement(std)
     # generator corrections live in F2; shifts by central elements change
     # neither bracket consistency nor (given graded bijectivity)
     # invertibility, so coset representatives modulo the centre suffice.
     # After splitting off central components the centre sits inside F2.
-    Z = B.center()
-    comp = _complement_reps(f2b, [[x.v for x in b] for b in Z.basis], Z.pivots, field)
+    comp, _ = B.center().complement(series_b[1].rows)
     m = len(gens_a)
     # p^m graded candidates per generator, p^k corrections and the rank
     # profile's p^s functionals: give up before any of them outgrows the budget
@@ -289,7 +242,7 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             )
     # a graded isomorphism keeps the rank of A's pair rows in each weight
     u_rank = {
-        w: len(_rref(field, [u for *_, u in rows])[1])
+        w: Subspace._span_raw(field, grades_a[w - 2].dim, [u for *_, u in rows]).dim
         for w, rows in pairs_by_weight.items()
         if w <= max_w
     }
@@ -352,7 +305,7 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             for c in range(gb.dim):
                 if solve_raw(field, urows, [v[c] for v in vrows], gb.dim) is None:
                     return False
-            if final and len(_rref(field, vrows)[1]) != u_rank[w]:
+            if final and Subspace._span_raw(field, gb.dim, vrows).dim != u_rank[w]:
                 return False
         return True
 
@@ -410,7 +363,7 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             if any(v) and v not in unit:
                 yield v
 
-    def search_psi(t, cols, chosen_basis, chosen_piv):
+    def search_psi(t, cols, chosen):
         nonlocal nodes
         if t == m:
             lifts = [lift_of(c) for c in cols]
@@ -421,18 +374,17 @@ def iso_search(A: LieAlgebra, B: LieAlgebra, cfg: IsoSearchConfig | None = None)
             nodes += 1
             if nodes > budget:
                 raise _Budget()
-            if _in_span(v, chosen_basis, chosen_piv, field):
+            if not any(chosen._reduce_raw(v)):
                 continue
             lifts = [lift_of(c) for c in cols + [v]]
             if not graded_ok(t, lifts):
                 continue
-            nb, npiv = _rref(field, chosen_basis + [v])
-            if search_psi(t + 1, cols + [v], nb, npiv):
+            if search_psi(t + 1, cols + [v], chosen.complement([v])[1]):
                 return True
         return False
 
     try:
-        found = search_psi(0, [], [], [])
+        found = search_psi(0, [], Subspace(field, m, (), ()))
     except _Budget:
         return IsoOutcome("budget", None, nodes)
     if found:

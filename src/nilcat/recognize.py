@@ -272,12 +272,6 @@ class NormEngine:
         return cid
 
 
-def transport(theta: SkewForm, N: LieAlgebra, tau_inv: Matrix) -> SkewForm:
-    """theta composed with the inverse of the quotient recognition map."""
-    G = tau_inv.transpose() * theta.gram() * tau_inv
-    return SkewForm(N, [G.data[i][j] for (i, j) in pairs(N.dim)])
-
-
 def recognize(K: LieAlgebra) -> RecognitionResult:
     """Catalog class of K with an explicit verified isomorphism onto it."""
     if not 1 <= K.dim <= 6:
@@ -337,7 +331,8 @@ def _recognize_checked(K: LieAlgebra) -> RecognitionResult:
     N = catalog.instantiate(sub.id)
     tau = sub.iso.matrix
     tau_inv = tau.invert()
-    etas = [transport(th, N, tau_inv) for th in thetas]
+    # the cocycles composed with the inverse of the quotient recognition map
+    etas = [SkewForm(N, th.pullback(tau_inv).coeffs) for th in thetas]
     tau_hat = tau.block_diag(Matrix.identity(field, s))
 
     eng = NormEngine((sub.id.key[0], sub.id.key[1]), N, etas, rep_dicts)

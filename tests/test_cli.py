@@ -210,3 +210,25 @@ def test_duplicate_input_is_rejected(tmp_path, capsys, text, lineno, what):
     code, out, err = _recognize_text(tmp_path, capsys, text)
     assert code == 1 and out == ""
     assert err.strip() == f"error: line {lineno}: {what}: {text.splitlines()[lineno - 1]!r}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "{alg}", "--cocycles", "abc"],
+        ["extend", "{alg}", "--cocycles", "1/0"],
+        ["catalog", "--field", "GF(x)"],
+        ["count", "--field", "GF(x)", "--dim", "3"],
+        ["catalog", "--field", "Q", "L6_19(eps=abc)"],
+        ["catalog", "--field", "Q", "L6_19(eps=1/0)"],
+    ],
+    ids=["cocycle-not-int", "cocycle-zero-denominator", "catalog-field", "count-field",
+         "eps-not-int", "eps-zero-denominator"],
+)
+def test_malformed_argument_is_one_error_line(tmp_path, capsys, argv):
+    f = tmp_path / "a.alg"
+    f.write_text("field Q\ndim 2\n")
+    code, out, err = run_cli(capsys, *(a.format(alg=f) for a in argv))
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -14,12 +14,14 @@ from nilcat.cohomology import (
     factor_by_center,
     joint_radical,
     no_central_component,
+    pairs,
     recover_functional,
 )
 from nilcat.errors import Eq1Violated, NotACocycle, NotAnAutomorphism
 from nilcat.field import prime_field, rationals
 from nilcat.liealg import LieAlgebra
 from nilcat.linalg import Matrix
+from nilcat.oracle import fuzz_basis_change
 
 Q = rationals()
 F3 = prime_field(3)
@@ -125,13 +127,45 @@ def test_no_central_component():
     assert not no_central_component(L32, [t13, t13])
 
 
+def ref_factor_rows(K):
+    """The former factor_by_center: the section defect [sigma x, sigma y] -
+    sigma([x, y]) and the residues e_i - sigma(proj e_i) solved for in the
+    centre's basis.  Returns (theta coefficient rows, phi's centre rows)."""
+    C = K.center()
+    Qt, proj, sect = K.quotient(C)
+    basis = Matrix(K.field, [[b[i] for b in C.basis] for i in range(K.dim)])
+
+    def coords_of(v):
+        x = basis.solve(v)
+        assert x is not None, "left the centre"
+        return x
+
+    theta_cols = []
+    for a, b in pairs(Qt.dim):
+        w = K.bracket(sect.matrix.col(a), sect.matrix.col(b))
+        theta_cols.append(coords_of(
+            tuple(wi - si for wi, si in zip(w, sect.apply(Qt.bracket_basis(a, b))))
+        ))
+    sp = sect.matrix * proj.matrix
+    centre_cols = [
+        coords_of(tuple(K.field.el(1 if r == i else 0) - sp.data[r][i] for r in range(K.dim)))
+        for i in range(K.dim)
+    ]
+    return ([[col[l] for col in theta_cols] for l in range(C.dim)],
+            [[col[l] for col in centre_cols] for l in range(C.dim)])
+
+
 def test_quotient_then_extension_recovers_table():
-    for key in [(5, 4), (5, 9), (6, 16)]:
-        K = raw_table(Q, *key)
-        Qt, thetas, phi = factor_by_center(K)
-        phi.verify()
-        ext, _ = central_extension(Qt, thetas)
-        assert phi.codomain == ext
+    for cid in [c for F in (F3, prime_field(7), Q) for c in ids_over(F, 6)]:
+        L = instantiate(cid)
+        for K in [L] + [K for _, K in fuzz_basis_change(L, 2, seed=4)]:
+            Qt, thetas, phi = factor_by_center(K)
+            phi.verify()
+            ext, _ = central_extension(Qt, thetas)
+            assert phi.codomain == ext
+            theta_rows, centre_rows = ref_factor_rows(K)
+            assert [list(th.coeffs) for th in thetas] == theta_rows, cid.label()
+            assert phi.matrix.data[Qt.dim:] == centre_rows, cid.label()
 
 
 def test_extension_then_quotient_recovers_base():

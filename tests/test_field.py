@@ -74,6 +74,12 @@ def test_field_spec_parsing():
     assert parse_field("GF(11)") == prime_field(11)
     with pytest.raises(NotAPrime):
         parse_field("GF(4)")
+    with pytest.raises(NotAPrime, match=r"cannot parse field spec 'GF\(x\)'"):
+        parse_field("GF(x)")
+    for F in (Q, F7):
+        for lit in ("abc", "1/0", "1/", "2/x"):
+            with pytest.raises(NilcatError, match=f"cannot parse literal '{lit}'"):
+                F.el(lit)
 
 
 def test_literal_round_trip():

@@ -1,7 +1,8 @@
 """The raw-value kernel against the FieldElem loops it replaced.
 
 The reference functions below are the former implementations of
-LieAlgebra.bracket, the Jacobi check, the lower central series and
+LieAlgebra.bracket, the Jacobi check, the lower central and derived
+series, the greedy complement now in Subspace.complement and
 Matrix.rref/__mul__/matvec, written on FieldElem arithmetic and the public
 bracket_basis table.  Random tables over GF(3), GF(7) and Q (most of them
 violating Jacobi) and random matrices must give the same values, pivots,
@@ -22,8 +23,8 @@ from nilcat.catalog import ids_over, instantiate
 from nilcat.cohomology import SkewForm, compute_spaces, pairs
 from nilcat.errors import Singular
 from nilcat.field import prime_field, rationals
-from nilcat.liealg import LieAlgebra, LinearMap
-from nilcat.linalg import Matrix
+from nilcat.liealg import LieAlgebra, LinearMap, Subspace
+from nilcat.linalg import Matrix, wrap
 from nilcat.oracle import fuzz_basis_change
 
 FIELDS = [prime_field(3), prime_field(7), rationals()]
@@ -142,6 +143,34 @@ def ref_lcs(L):
     return series
 
 
+def ref_derived(L):
+    n, F = L.dim, L.field
+    cur = ref_span(F, n, [basis_vec(F, n, i) for i in range(n)])
+    series = [cur]
+    while cur[0]:
+        bs = cur[0]
+        gens = [ref_bracket(L, bs[a], bs[b])
+                for a in range(len(bs)) for b in range(a + 1, len(bs))]
+        nxt = ref_span(F, n, gens)
+        series.append(nxt)
+        if len(nxt[0]) == len(cur[0]):
+            break
+        cur = nxt
+    return series
+
+
+def ref_complement(field, n, rows, vectors):
+    """The former liealg._extends greedy loop: starting from the RREF basis
+    of the rows, keep each vector that raises the rank of what is kept."""
+    cur = list(ref_span(field, n, rows)[0])
+    kept = []
+    for v in vectors:
+        if ref_rref(Matrix(field, cur + [v], cols=n))[2] == len(cur) + 1:
+            kept.append(v)
+            cur.append(v)
+    return kept, ref_span(field, n, cur)
+
+
 def ref_is_cocycle(theta):
     L = theta.base
     n, F = L.dim, L.field
@@ -249,11 +278,12 @@ def test_validate_matches_reference(L):
 @settings(max_examples=100, deadline=None)
 @given(algebras)
 def test_lower_central_series_matches_reference(L):
-    got = L.lower_central_series()
-    assert [(S.basis, S.pivots) for S in got] == ref_lcs(L)
-    for S in got:
-        for b in S.basis:
-            assert_fractions(L.field, b)
+    for got, ref in [(L.lower_central_series(), ref_lcs(L)),
+                     (L.derived_series(), ref_derived(L))]:
+        assert [(S.basis, S.pivots) for S in got] == ref
+        for S in got:
+            for b in S.basis:
+                assert_fractions(L.field, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,6 +322,28 @@ def test_mul_and_matvec_match_reference(pair):
         col = B.col(j)
         assert A.matvec(col) == ref_matvec(A, col)
         assert_fractions(A.field, A.matvec(col))
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """Spanning rows of a subspace and candidate vectors, in one F^n."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 6))
+    return draw(matrices(None, n, field)), draw(matrices(None, n, field))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_vectors())
+def test_complement_matches_reference(case):
+    S_rows, V = case
+    field, n = V.field, V.cols
+    kept, span = Subspace.from_spanning(field, n, S_rows.data).complement(
+        [[x.v for x in v] for v in V.data]
+    )
+    ref_kept, ref_span_rows = ref_complement(field, n, S_rows.data, V.data)
+    assert [tuple(wrap(field, v)) for v in kept] == [tuple(v) for v in ref_kept]
+    assert (span.basis, span.pivots) == ref_span_rows
+    assert_fractions(field, [x for b in span.basis for x in b])
 
 
 @st.composite
